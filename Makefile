@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet fmt bench fuzz agg-bench iter-bench cyclic-bench net-bench obs-bench net-smoke serve-smoke cover clean examples api-check
+.PHONY: all build test short race vet fmt bench benchmark-smoke fuzz agg-bench iter-bench cyclic-bench net-bench obs-bench net-smoke serve-smoke cover clean examples api-check
 
 all: build vet test
 
@@ -41,6 +41,13 @@ fmt:
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
+
+# benchmark/ is its own module (replace jsweep => ../), so build/test/vet
+# above never compile it: vet it and run its tests (all four workloads at
+# smoke sizes) so an internal API change cannot silently break the
+# pipeline's instrument (mirrors the CI step).
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz sessions over the stream/frame codecs, the SCC condensation
 # invariants and the netcomm wire format (one -fuzz target per go test

@@ -13,8 +13,11 @@ import (
 	"jsweep/internal/core"
 	"jsweep/internal/graph"
 	"jsweep/internal/mesh"
+	"jsweep/internal/meshgen"
 	"jsweep/internal/partition"
 	"jsweep/internal/priority"
+	"jsweep/internal/quadrature"
+	"jsweep/internal/registry"
 	"jsweep/internal/sweep"
 	"jsweep/internal/transport"
 )
@@ -79,7 +82,9 @@ func flatQ(prob *jsweep.Problem) [][]float64 {
 	return q
 }
 
-// BenchmarkKernelSolveCell measures the per-cell transport kernel.
+// BenchmarkKernelSolveCell measures the per-cell transport kernel on one
+// cell whose data stays in L1; the SweepOrder variants below measure what
+// a sweep pays.
 func BenchmarkKernelSolveCell(b *testing.B) {
 	prob, _ := kobaFixture(b, 8)
 	omega := prob.Quad.Directions[0].Omega
@@ -93,6 +98,56 @@ func BenchmarkKernelSolveCell(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		prob.SolveCell(c, omega, qCell, psiIn, psiOut, psiBar)
 	}
+}
+
+// benchKernelSweepOrder solves every cell of the mesh once per direction,
+// the way a sweep visits them: by the time the next direction returns to a
+// cell, its geometry has left the inner cache levels. Reports ns per
+// (cell, angle).
+func benchKernelSweepOrder(b *testing.B, prob *jsweep.Problem) {
+	G, mf := prob.Groups, prob.MaxFaces()
+	qCell := make([]float64, G)
+	for g := range qCell {
+		qCell[g] = 1
+	}
+	psiIn, psiOut, psiBar := make([]float64, mf*G), make([]float64, mf*G), make([]float64, G)
+	cells := prob.M.NumCells()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range prob.Quad.Directions {
+			for c := 0; c < cells; c++ {
+				prob.SolveCell(mesh.CellID(c), d.Omega, qCell, psiIn, psiOut, psiBar)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells*prob.Quad.NumAngles()), "ns/cell-angle")
+}
+
+// BenchmarkKernelSweepOrderKobayashi32Diamond: 32 768 hexes × 24 angles.
+func BenchmarkKernelSweepOrderKobayashi32Diamond(b *testing.B) {
+	prob, _, err := jsweep.BuildKobayashi(jsweep.KobayashiSpec{N: 32, SnOrder: 4, Scheme: jsweep.Diamond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchKernelSweepOrder(b, prob)
+}
+
+// BenchmarkKernelSweepOrderBall20kStep: 22 170 tets × 24 angles.
+func BenchmarkKernelSweepOrderBall20kStep(b *testing.B) {
+	m, err := meshgen.BallWithCells(20000, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	quad, err := quadrature.New(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob := registry.UniformProblem(m, quad, 1)
+	if err := prob.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	benchKernelSweepOrder(b, prob)
 }
 
 // BenchmarkReferenceSweep measures the serial ground-truth executor.

@@ -27,18 +27,33 @@ import (
 	"jsweep"
 	"jsweep/internal/bench"
 	"jsweep/internal/nodespec"
+	"jsweep/internal/prof"
 	"jsweep/internal/registry"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit code, so the profiles are flushed on every way
+// out (os.Exit skips deferred calls).
+func run() int {
 	var (
 		expID    = flag.String("exp", "", "experiment id to run (default: all)")
 		fidelity = flag.String("fidelity", "standard", "quick | standard | paper")
 		list     = flag.Bool("list", false, "list experiment ids and mesh families, then exit")
 		outJSON  = flag.String("out", "", "write the result series as JSON to this file")
 		jobSpec  = flag.String("job", "", "time one ad-hoc job: a NodeSpec JSON (mesh from the registry, any backend)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
+
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	defer stopProfiles()
 
 	if *list {
 		for _, e := range bench.All() {
@@ -46,26 +61,35 @@ func main() {
 		}
 		fmt.Printf("\nmesh families (-job specs): %s\n", registry.Usage())
 		fmt.Printf("-job backends: inproc | tcp-launch | sim (tcp-attach needs attach options — use the library API)\n")
-		return
+		return 0
 	}
 	if *jobSpec != "" {
 		if err := runJob(*jobSpec); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
+	// Experiments take no context (a -job run does, and a signal surfaces as
+	// its error): on a signal, flush the profiles and go.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sig
+		stopProfiles()
+		os.Exit(130)
+	}()
 	f, err := bench.ParseFidelity(*fidelity)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	exps := bench.All()
 	if *expID != "" {
 		e, ok := bench.Find(*expID)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *expID)
-			os.Exit(2)
+			return 2
 		}
 		exps = []bench.Experiment{e}
 	}
@@ -76,7 +100,7 @@ func main() {
 		pts, err := e.Run(f, os.Stdout)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.ID, err)
-			os.Exit(1)
+			return 1
 		}
 		results[e.ID] = pts
 		fmt.Printf("    (%.1fs)\n\n", time.Since(t0).Seconds())
@@ -88,15 +112,16 @@ func main() {
 		}, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		data = append(data, '\n')
 		if err := os.WriteFile(*outJSON, data, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("wrote %s\n", *outJSON)
 	}
+	return 0
 }
 
 // runJob times one ad-hoc declarative job — the quickest way to measure

@@ -46,6 +46,7 @@ import (
 	"syscall"
 
 	"jsweep"
+	"jsweep/internal/prof"
 	"jsweep/internal/registry"
 )
 
@@ -81,8 +82,24 @@ func main() {
 		aggBytes   = flag.Int("agg-bytes", 0, "max bytes per batch (0 = sized from payload geometry)")
 		aggFlush   = flag.Duration("agg-flush", 0, "batch flush deadline (0 = default 200µs)")
 		aggShards  = flag.Int("agg-shards", 0, "frame shards per destination (0 = default 1)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
+
+	// The profiles are written on every way out: a clean return, an error,
+	// and a Ctrl-C (which cancels the job and surfaces as its error).
+	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopProfiles()
+	// log.Fatal skips deferred calls.
+	fatal := func(v ...any) {
+		stopProfiles()
+		log.Fatal(v...)
+	}
 
 	spec := jsweep.NodeSpec{
 		Mesh: *meshKind, N: *n, Cells: *cells, SnOrder: *snOrder,
@@ -109,7 +126,7 @@ func main() {
 	// here; the result streams back in the same shape a local run yields.
 	if *serveAddr != "" {
 		if *hosts != "" {
-			log.Fatal("-serve submits one job to one daemon; -hosts places a tcp-launch cluster across daemons — pick one")
+			fatal("-serve submits one job to one daemon; -hosts places a tcp-launch cluster across daemons — pick one")
 		}
 		opts := []jsweep.JobOption{}
 		if *verify {
@@ -122,9 +139,9 @@ func main() {
 		if err != nil {
 			var adm *jsweep.AdmissionError
 			if errors.As(err, &adm) {
-				log.Fatalf("daemon %s refused the job (%s): %s", *serveAddr, adm.Code, adm.Detail)
+				fatal(fmt.Sprintf("daemon %s refused the job (%s): %s", *serveAddr, adm.Code, adm.Detail))
 			}
-			log.Fatal(err)
+			fatal(err)
 		}
 		fmt.Printf("submitted %s to %s", h.Job(), *serveAddr)
 		if p := h.QueuePos(); p > 0 {
@@ -133,10 +150,12 @@ func main() {
 		fmt.Println()
 		res, err := h.Wait(ctx)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		render(spec, res, *verify)
-		dumpTrace(*traceFile, res.Trace)
+		if err := dumpTrace(*traceFile, res.Trace); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -146,7 +165,7 @@ func main() {
 	}
 	if *traceFile != "" {
 		if parseBackend(*backend) == jsweep.BackendSim {
-			log.Fatal("-trace does not apply to -backend sim (one sweep, virtual time)")
+			fatal("-trace does not apply to -backend sim (one sweep, virtual time)")
 		}
 		opts = append(opts, jsweep.WithTrace())
 	}
@@ -168,10 +187,10 @@ func main() {
 		}
 	case jsweep.BackendSim:
 		if *verify {
-			log.Fatal("-verify does not apply to -backend sim (no flux is computed)")
+			fatal("-verify does not apply to -backend sim (no flux is computed)")
 		}
 		if *progress {
-			log.Fatal("-progress does not apply to -backend sim (one sweep, virtual time)")
+			fatal("-progress does not apply to -backend sim (one sweep, virtual time)")
 		}
 	default:
 		if *progress {
@@ -181,31 +200,37 @@ func main() {
 
 	job, err := jsweep.NewJob(spec, opts...)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 
 	res, err := job.Run(ctx)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	render(spec, res, *verify)
-	dumpTrace(*traceFile, res.Trace)
+	if err := dumpTrace(*traceFile, res.Trace); err != nil {
+		fatal(err)
+	}
 }
 
 // dumpTrace writes a traced job's span events as JSONL.
-func dumpTrace(path string, events []jsweep.TraceEvent) {
+func dumpTrace(path string, events []jsweep.TraceEvent) error {
 	if path == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
 	if err := jsweep.WriteTrace(f, events); err != nil {
-		log.Fatal(err)
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
 	}
 	fmt.Printf("trace: %d events -> %s\n", len(events), path)
+	return nil
 }
 
 func render(spec jsweep.NodeSpec, res *jsweep.RunResult, verify bool) {

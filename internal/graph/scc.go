@@ -222,20 +222,37 @@ func lagKey(c mesh.CellID, face int8) int64 { return int64(c)<<3 | int64(face) }
 
 // cellAdjacency builds the downwind adjacency lists of the cell-level sweep
 // graph for one direction (deterministic: faces in index order). face[c][k]
-// is the face index behind adj[c][k].
+// is the face index behind adj[c][k]. Storage is CSR: the per-cell lists
+// slice into one flat array per result, so a call makes a handful of
+// allocations however many cells the mesh has.
 func cellAdjacency(m mesh.Mesh, omega geom.Vec3) (adj [][]int32, face [][]int8) {
 	n := m.NumCells()
-	adj = make([][]int32, n)
-	face = make([][]int8, n)
+	// Every interior face is downwind for at most one of its two cells, so
+	// with a constant face count the flat arrays never outgrow this.
+	hint := 0
+	if n > 0 {
+		hint = n * m.NumFaces(0) / 2
+	}
+	flatAdj := make([]int32, 0, hint)
+	flatFace := make([]int8, 0, hint)
+	start := make([]int, n+1)
 	for c := 0; c < n; c++ {
 		nf := m.NumFaces(mesh.CellID(c))
 		for i := 0; i < nf; i++ {
 			f := m.Face(mesh.CellID(c), i)
 			if f.Neighbor >= 0 && omega.Dot(f.Normal) > upwindEps {
-				adj[c] = append(adj[c], int32(f.Neighbor))
-				face[c] = append(face[c], int8(i))
+				flatAdj = append(flatAdj, int32(f.Neighbor))
+				flatFace = append(flatFace, int8(i))
 			}
 		}
+		start[c+1] = len(flatAdj)
+	}
+	adj = make([][]int32, n)
+	face = make([][]int8, n)
+	for c := 0; c < n; c++ {
+		lo, hi := start[c], start[c+1]
+		adj[c] = flatAdj[lo:hi:hi]
+		face[c] = flatFace[lo:hi:hi]
 	}
 	return adj, face
 }

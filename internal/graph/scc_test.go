@@ -361,3 +361,74 @@ func TestPatchDAGSCCOnRing(t *testing.T) {
 		t.Errorf("acyclic patch DAG has %d comps, want %d", n, sdag.N)
 	}
 }
+
+// cellAdjacency's CSR-backed lists must be element for element what
+// per-cell appends produce, on an acyclic grid and on a cyclic ring, and
+// appending to one list must not reach into its neighbour's.
+func TestCellAdjacencyMatchesAppendBuild(t *testing.T) {
+	grid, err := mesh.NewStructured3D(5, 4, 3, geom.Vec3{}, geom.Vec3{X: 1, Y: 1, Z: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := meshgen.CyclicRing(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []mesh.Mesh{grid, ring} {
+		for _, omega := range s2Dirs {
+			n := m.NumCells()
+			wantAdj := make([][]int32, n)
+			wantFace := make([][]int8, n)
+			for c := 0; c < n; c++ {
+				for i := 0; i < m.NumFaces(mesh.CellID(c)); i++ {
+					f := m.Face(mesh.CellID(c), i)
+					if f.Neighbor >= 0 && omega.Dot(f.Normal) > upwindEps {
+						wantAdj[c] = append(wantAdj[c], int32(f.Neighbor))
+						wantFace[c] = append(wantFace[c], int8(i))
+					}
+				}
+			}
+			adj, face := cellAdjacency(m, omega)
+			for c := 0; c < n; c++ {
+				if !slicesEqual(adj[c], wantAdj[c]) || !slicesEqual(face[c], wantFace[c]) {
+					t.Fatalf("Ω=%v cell %d: adj %v face %v, want %v %v", omega, c, adj[c], face[c], wantAdj[c], wantFace[c])
+				}
+				if cap(adj[c]) != len(adj[c]) || cap(face[c]) != len(face[c]) {
+					t.Fatalf("Ω=%v cell %d: list capacity runs into the next cell's entries", omega, c)
+				}
+			}
+		}
+	}
+}
+
+func slicesEqual[T comparable](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// FeedbackEdges allocates a fixed handful of arrays, not lists per cell
+// (it used to make ~2 objects per cell: 3 M per solver set-up on
+// Kobayashi-32 S4).
+func TestFeedbackEdgesAllocCeiling(t *testing.T) {
+	m, err := mesh.NewStructured3D(16, 16, 16, geom.Vec3{}, geom.Vec3{X: 1, Y: 1, Z: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	omega := s2Dirs[0]
+	allocs := testing.AllocsPerRun(5, func() {
+		if lagged := FeedbackEdges(m, omega); len(lagged) != 0 {
+			t.Fatalf("acyclic grid has %d feedback edges", len(lagged))
+		}
+	})
+	// 5 for the adjacency, 1 + O(log depth) for the DFS.
+	if allocs > 32 {
+		t.Errorf("FeedbackEdges on %d cells: %.0f allocations, want <= 32", m.NumCells(), allocs)
+	}
+}

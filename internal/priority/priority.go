@@ -306,16 +306,27 @@ func vertexBoundaryDistance(g *graph.PatchGraph) []int32 {
 			dist[v] = inf
 		}
 	}
-	// BFS on reversed local edges.
-	pred := make([][]int32, n)
+	// BFS on reversed local edges, held in CSR: predecessors of v are
+	// pred[predStart[v]:predStart[v+1]], in ascending order.
+	predStart := make([]int32, n+1)
+	for _, e := range g.LocalAdj {
+		predStart[e.To+1]++
+	}
+	for v := 0; v < n; v++ {
+		predStart[v+1] += predStart[v]
+	}
+	pred := make([]int32, len(g.LocalAdj))
+	next := make([]int32, n)
+	copy(next, predStart[:n])
 	for v := int32(0); v < int32(n); v++ {
 		for _, e := range g.LocalEdges(v) {
-			pred[e.To] = append(pred[e.To], v)
+			pred[next[e.To]] = v
+			next[e.To]++
 		}
 	}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, u := range pred[v] {
+		for _, u := range pred[predStart[v]:predStart[v+1]] {
 			if dist[u] > dist[v]+1 {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)

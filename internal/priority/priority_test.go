@@ -192,3 +192,71 @@ func TestAnglePriorityOrdering(t *testing.T) {
 		t.Error("angle 0 must outrank angle 1")
 	}
 }
+
+// The CSR predecessor lists must reproduce, value for value, the SLBD
+// distances a per-vertex append build gives, on every patch graph of the
+// fixture.
+func TestVertexBoundaryDistanceMatchesAppendBuild(t *testing.T) {
+	_, _, _, graphs := fixture(t)
+	for _, g := range graphs {
+		n := g.NumVertices()
+		const inf = int32(1) << 30
+		want := make([]int32, n)
+		var queue []int32
+		pred := make([][]int32, n)
+		for v := int32(0); v < int32(n); v++ {
+			want[v] = inf
+			if len(g.RemoteEdges(v)) > 0 {
+				want[v] = 0
+				queue = append(queue, v)
+			}
+			for _, e := range g.LocalEdges(v) {
+				pred[e.To] = append(pred[e.To], v)
+			}
+		}
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for _, u := range pred[v] {
+				if want[u] > want[v]+1 {
+					want[u] = want[v] + 1
+					queue = append(queue, u)
+				}
+			}
+		}
+		var maxSeen int32
+		for _, d := range want {
+			if d != inf && d > maxSeen {
+				maxSeen = d
+			}
+		}
+		got := VertexPriorities(SLBD, g)
+		for v := range want {
+			if want[v] == inf {
+				want[v] = maxSeen + 1
+			}
+			if got[v] != -want[v] {
+				t.Fatalf("patch %d vertex %d: SLBD priority %d, want %d", g.Patch, v, got[v], -want[v])
+			}
+		}
+	}
+}
+
+// VertexPriorities allocates a fixed handful of arrays per call whatever
+// the patch size (SLBD used to grow one predecessor list per vertex).
+func TestVertexPrioritiesAllocCeiling(t *testing.T) {
+	m, err := mesh.NewStructured3D(16, 16, 16, geom.Vec3{}, geom.Vec3{X: 1, Y: 1, Z: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := m.BlockDecompose(8, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.BuildPatchGraph(d, 0, geom.Vec3{X: 0.6, Y: 0.48, Z: 0.64}, 0)
+	for _, s := range []Strategy{BFS, LDCP, SLBD} {
+		allocs := testing.AllocsPerRun(5, func() { VertexPriorities(s, g) })
+		if allocs > 6 {
+			t.Errorf("%v on %d vertices: %.0f allocations, want <= 6", s, g.NumVertices(), allocs)
+		}
+	}
+}

@@ -448,8 +448,12 @@ type process struct {
 	// aggregation is disabled. Only the master goroutine touches them.
 	batchers []*StreamBatcher
 
-	mu      sync.Mutex
-	progs   map[core.ProgramKey]*progState
+	mu    sync.Mutex
+	progs map[core.ProgramKey]*progState
+	// order lists the programs in registration order: every walk over all
+	// programs uses it, so the initial program→worker assignment (and with
+	// it the schedule) does not depend on map iteration order.
+	order   []*progState
 	workers []*workerQueue
 	// activePrograms counts programs in Active state.
 	activePrograms int
@@ -483,6 +487,10 @@ type process struct {
 	future []comm.Message
 	replay []comm.Message
 
+	// perRank is routeStreams' scratch: the remote streams of one call
+	// grouped by destination rank (unbatched path). Master goroutine only.
+	perRank [][]core.Stream
+
 	stats Stats
 
 	wg sync.WaitGroup
@@ -506,6 +514,7 @@ func newProcess(rt *Runtime, rank int) *process {
 		doneReports: make(map[int]bool),
 		safraColor:  tokenWhite,
 		round:       1,
+		perRank:     make([][]core.Stream, rt.cfg.Procs),
 	}
 	p.workers = make([]*workerQueue, rt.cfg.Workers)
 	for w := range p.workers {
@@ -525,6 +534,7 @@ func newProcess(rt *Runtime, rank int) *process {
 func (p *process) register(key core.ProgramKey, prog core.PatchProgram, prio int64) {
 	ps := &progState{key: key, prog: prog, prio: prio, seq: int64(len(p.progs)), active: true, worker: -1}
 	p.progs[key] = ps
+	p.order = append(p.order, ps)
 	p.activePrograms++
 }
 
@@ -537,23 +547,26 @@ func (p *process) startWorkers() {
 	}
 }
 
+// assignInitial distributes the initially active programs evenly across
+// the workers (§IV-B), round-robin in registration order.
+func (p *process) assignInitial() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i := 0
+	for _, ps := range p.order {
+		if !ps.active {
+			continue
+		}
+		p.assignLocked(ps, p.workers[i%len(p.workers)])
+		i++
+	}
+}
+
 // runRound is the master loop of one process (paper Fig. 8) for one
 // round: it distributes the active programs, drives execution to the
 // termination decision, and leaves the workers parked for the next round.
 func (p *process) runRound(ctx context.Context) error {
-	// Distribute initially active programs evenly across workers (§IV-B),
-	// highest priority spread first for an even start.
-	p.mu.Lock()
-	i := 0
-	for _, ps := range p.progs {
-		if !ps.active {
-			continue
-		}
-		w := p.workers[i%len(p.workers)]
-		p.assignLocked(ps, w)
-		i++
-	}
-	p.mu.Unlock()
+	p.assignInitial()
 
 	// Rank 0 owns the Safra token initially.
 	if p.rt.cfg.Termination == Safra && p.rank == 0 {
@@ -734,7 +747,7 @@ func (p *process) resetRound() error {
 			return fmt.Errorf("runtime: rank %d has %d unflushed batched streams at round boundary", p.rank, b.Pending())
 		}
 	}
-	for _, ps := range p.progs {
+	for _, ps := range p.order {
 		if len(ps.inbox) > 0 {
 			return fmt.Errorf("runtime: program %v has %d undelivered streams at round boundary", ps.key, len(ps.inbox))
 		}
@@ -743,7 +756,7 @@ func (p *process) resetRound() error {
 		ps.running = false
 		ps.worker = -1
 	}
-	p.activePrograms = len(p.progs)
+	p.activePrograms = len(p.order)
 	// Safra: a fresh round starts all-white with balanced counters and the
 	// token back at rank 0 (runRound hands it out).
 	p.safraColor = tokenWhite
@@ -798,15 +811,17 @@ func (p *process) lightestWorker() *workerQueue {
 
 // routeStreams routes worker-produced streams: local targets are delivered
 // directly; remote targets go straight into the destination's batcher
-// (aggregating path) or are grouped per rank and sent immediately.
+// (aggregating path) or are grouped per rank and sent immediately, in
+// ascending rank order.
 func (p *process) routeStreams(streams []core.Stream) error {
 	if len(streams) == 0 {
 		return nil
 	}
-	var perRank map[int][]core.Stream
 	var now time.Time
 	if p.batchers != nil {
 		now = time.Now()
+	} else {
+		defer p.dropPerRank()
 	}
 	p.mu.Lock()
 	for _, s := range streams {
@@ -826,10 +841,7 @@ func (p *process) routeStreams(streams []core.Stream) error {
 			p.batchers[rank].Add(now, s)
 			continue
 		}
-		if perRank == nil {
-			perRank = make(map[int][]core.Stream)
-		}
-		perRank[rank] = append(perRank[rank], s)
+		p.perRank[rank] = append(p.perRank[rank], s)
 	}
 	p.mu.Unlock()
 	if p.batchers != nil {
@@ -844,7 +856,10 @@ func (p *process) routeStreams(streams []core.Stream) error {
 		}
 		return nil
 	}
-	for rank, batch := range perRank {
+	for rank, batch := range p.perRank {
+		if len(batch) == 0 {
+			continue
+		}
 		t0 := time.Now()
 		// Pooled buffer: the transport (or the receiving consumer, for
 		// in-memory and self-sends) recycles it — steady-state rounds stop
@@ -861,6 +876,15 @@ func (p *process) routeStreams(streams []core.Stream) error {
 		}
 	}
 	return nil
+}
+
+// dropPerRank empties the routing scratch on every way out of
+// routeStreams; the kept backing arrays must not pin the payloads.
+func (p *process) dropPerRank() {
+	for r, batch := range p.perRank {
+		clear(batch)
+		p.perRank[r] = batch[:0]
+	}
 }
 
 // flushBatcher sends b's pending streams as one aggregated frame.
@@ -1079,7 +1103,7 @@ func (p *process) checkWorkloadTermination() bool {
 	}
 	p.mu.Lock()
 	rem := int64(0)
-	for _, ps := range p.progs {
+	for _, ps := range p.order {
 		rem += ps.prog.(core.WorkloadReporter).RemainingWork()
 	}
 	p.mu.Unlock()

@@ -317,3 +317,40 @@ func TestSessionPingPongAcrossRounds(t *testing.T) {
 		})
 	}
 }
+
+// Two fresh runtimes hand the initially active programs to the same
+// workers: the starting assignment follows registration order, not map
+// iteration order, so a multi-worker schedule is reproducible from its
+// first step. (With 3 workers and 30 programs per rank a map walk would
+// agree by chance once in ~3^29 runs.)
+func TestInitialAssignmentIsDeterministic(t *testing.T) {
+	const procs, workers = 2, 3
+	assignment := func() map[string]int {
+		rt, err := New(Config{Procs: procs, Workers: workers, Termination: Workload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		buildGrid(t, rt, 10, 6, procs)
+		got := make(map[string]int)
+		for _, p := range rt.procs {
+			p.assignInitial()
+			for i, ps := range p.order {
+				if want := i % workers; ps.worker != want {
+					t.Errorf("rank %d: program %d (%v) on worker %d, want %d (round-robin in registration order)", p.rank, i, ps.key, ps.worker, want)
+				}
+				got[ps.key.String()] = ps.worker
+			}
+		}
+		return got
+	}
+	a, b := assignment(), assignment()
+	if len(a) != 60 {
+		t.Fatalf("assigned %d programs, want 60", len(a))
+	}
+	for k, w := range a {
+		if b[k] != w {
+			t.Errorf("program %s: worker %d in one runtime, %d in the other", k, w, b[k])
+		}
+	}
+}

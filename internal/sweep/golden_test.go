@@ -124,8 +124,12 @@ func TestGoldenBallMatchesReference(t *testing.T) {
 	}
 }
 
-// Aggregation must leave the routed stream count invariant while cutting
-// transport messages — checked on a real solve, not a synthetic grid.
+// Aggregation must carry every routed stream while cutting transport
+// messages — checked on a real solve, not a synthetic grid. How many
+// streams a sweep routes depends on the schedule (a program computed on
+// partial input emits its streams in more, smaller pieces), so two runs
+// agree only to within that jitter; the exact invariant is inside the
+// aggregated run: every remote stream left in a batch.
 func TestGoldenAggregationMessageInvariants(t *testing.T) {
 	prob, d := kobaSmall(t, false)
 	run := func(agg runtime.AggregationConfig) runtime.Stats {
@@ -144,8 +148,11 @@ func TestGoldenAggregationMessageInvariants(t *testing.T) {
 	}
 	off := run(runtime.AggregationConfig{})
 	on := run(runtime.AggregationConfig{Enabled: true})
-	if on.RemoteStreams != off.RemoteStreams {
-		t.Errorf("RemoteStreams changed: on=%d off=%d", on.RemoteStreams, off.RemoteStreams)
+	if on.StreamsBatched != on.RemoteStreams {
+		t.Errorf("StreamsBatched=%d, want RemoteStreams=%d", on.StreamsBatched, on.RemoteStreams)
+	}
+	if d := on.RemoteStreams - off.RemoteStreams; d*10 > off.RemoteStreams || -d*10 > off.RemoteStreams {
+		t.Errorf("RemoteStreams beyond schedule jitter: on=%d off=%d", on.RemoteStreams, off.RemoteStreams)
 	}
 	if on.BatchesSent == 0 || on.BatchesSent >= on.RemoteStreams {
 		t.Errorf("BatchesSent=%d, want in (0, %d)", on.BatchesSent, on.RemoteStreams)

@@ -10,6 +10,7 @@ package transport
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"jsweep/internal/geom"
 	"jsweep/internal/mesh"
@@ -56,13 +57,40 @@ func (s Scheme) String() string {
 
 // Problem is a complete Sn transport problem: mesh, material map,
 // quadrature and differencing scheme.
+//
+// The kernels do not read M: on first use (Validate, or the first
+// SolveCell) the problem snapshots what they need into a
+// mesh.CellGeometry, once, and computes from that. M must therefore not
+// be mutated (SetMaterialFunc) after that point. A Problem holds a
+// sync.Once and must not be copied.
 type Problem struct {
 	M      mesh.Mesh
 	Mats   []Material
 	Quad   *quadrature.Set
 	Groups int
 	Scheme Scheme
+
+	cellsOnce sync.Once
+	cells     *mesh.CellGeometry
 }
+
+// Geometry returns the problem's cell-geometry table, building it from M
+// on the first call. Safe for concurrent use.
+func (p *Problem) Geometry() *mesh.CellGeometry {
+	p.cellsOnce.Do(p.buildGeometry)
+	return p.cells
+}
+
+func (p *Problem) buildGeometry() {
+	p.cells = mesh.NewCellGeometry(p.M)
+	if nf := p.cells.FacesPerCell(); nf > maxKernelFaces {
+		panic(fmt.Sprintf("transport: cells have %d faces, the kernels handle at most %d", nf, maxKernelFaces))
+	}
+}
+
+// maxKernelFaces bounds the faces of one cell: solveStep keeps the
+// outgoing ones in a uint8 bit set.
+const maxKernelFaces = 8
 
 // Validate checks internal consistency.
 func (p *Problem) Validate() error {
@@ -94,9 +122,9 @@ func (p *Problem) Validate() error {
 	if p.Scheme == Diamond && !p.M.Structured() {
 		return fmt.Errorf("transport: diamond differencing requires a structured mesh")
 	}
-	nc := p.M.NumCells()
-	for c := 0; c < nc; c++ {
-		z := p.M.Material(mesh.CellID(c))
+	cells := p.Geometry()
+	for c, nc := 0, cells.NumCells(); c < nc; c++ {
+		z := cells.Material(mesh.CellID(c))
 		if z < 0 || z >= len(p.Mats) {
 			return fmt.Errorf("transport: cell %d references material zone %d outside [0,%d)", c, z, len(p.Mats))
 		}
@@ -104,16 +132,11 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// MaxFaces returns the per-cell face count bound (6 structured, 4 tets).
-func (p *Problem) MaxFaces() int {
-	if p.M.Structured() {
-		return 6
-	}
-	return 4
-}
+// MaxFaces returns the per-cell face count (6 structured, 4 tets).
+func (p *Problem) MaxFaces() int { return p.Geometry().FacesPerCell() }
 
 // Mat returns the material of a cell.
-func (p *Problem) Mat(c mesh.CellID) *Material { return &p.Mats[p.M.Material(c)] }
+func (p *Problem) Mat(c mesh.CellID) *Material { return &p.Mats[p.Geometry().Material(c)] }
 
 // SolveCell computes the angular flux of one cell for one direction and
 // all groups, given the incoming face fluxes.
@@ -126,35 +149,39 @@ func (p *Problem) Mat(c mesh.CellID) *Material { return &p.Mats[p.M.Material(c)]
 //	         incoming faces are left untouched
 //	psiBar — filled with the cell-average angular flux per group
 func (p *Problem) SolveCell(c mesh.CellID, omega geom.Vec3, qCell, psiIn, psiOut, psiBar []float64) {
+	cells := p.Geometry()
+	faces, vol := cells.Faces(c), cells.Volume(c)
+	sigmaT := p.Mats[cells.Material(c)].SigmaT
 	switch p.Scheme {
 	case Diamond:
-		p.solveDiamond(c, omega, qCell, psiIn, psiOut, psiBar)
+		solveDiamond(faces, vol, sigmaT, omega, qCell, psiIn, psiOut, psiBar)
 	default:
-		p.solveStep(c, omega, qCell, psiIn, psiOut, psiBar)
+		solveStep(faces, vol, sigmaT, omega, qCell, psiIn, psiOut, psiBar)
 	}
 }
 
 // solveStep implements the fully-upwind finite-volume balance:
 //
 //	ψ_c = (q·V + Σ_in |Ω·n|·A·ψ_in) / (σt·V + Σ_out |Ω·n|·A),  ψ_out = ψ_c.
-func (p *Problem) solveStep(c mesh.CellID, omega geom.Vec3, qCell, psiIn, psiOut, psiBar []float64) {
-	m := p.M
-	mat := p.Mat(c)
-	vol := m.CellVolume(c)
-	nf := m.NumFaces(c)
-	G := p.Groups
-
-	var outCoef float64
-	// First pass: geometry terms. Grazing faces (|Ω·n| ≤ UpwindEps) carry
-	// no flow, matching the DAG builder's classification.
+//
+// len(sigmaT) is the group count. Each face is classified once; the
+// outgoing ones are remembered in a bit set (a cell has at most 8 faces)
+// and filled after the division.
+func solveStep(faces []mesh.FaceGeom, vol float64, sigmaT []float64, omega geom.Vec3, qCell, psiIn, psiOut, psiBar []float64) {
+	G := len(sigmaT)
 	for g := 0; g < G; g++ {
 		psiBar[g] = qCell[g] * vol
 	}
-	for f := 0; f < nf; f++ {
-		face := m.Face(c, f)
+	var outCoef float64
+	var outgoing uint8
+	// Grazing faces (|Ω·n| ≤ UpwindEps) carry no flow, matching the DAG
+	// builder's classification.
+	for f := range faces {
+		face := &faces[f]
 		dot := omega.Dot(face.Normal)
 		if dot > mesh.UpwindEps {
 			outCoef += dot * face.Area
+			outgoing |= 1 << f
 		} else if dot < -mesh.UpwindEps {
 			a := -dot * face.Area
 			for g := 0; g < G; g++ {
@@ -163,11 +190,10 @@ func (p *Problem) solveStep(c mesh.CellID, omega geom.Vec3, qCell, psiIn, psiOut
 		}
 	}
 	for g := 0; g < G; g++ {
-		psiBar[g] /= mat.SigmaT[g]*vol + outCoef
+		psiBar[g] /= sigmaT[g]*vol + outCoef
 	}
-	for f := 0; f < nf; f++ {
-		face := m.Face(c, f)
-		if omega.Dot(face.Normal) > mesh.UpwindEps {
+	for f := 0; outgoing != 0; f, outgoing = f+1, outgoing>>1 {
+		if outgoing&1 != 0 {
 			for g := 0; g < G; g++ {
 				psiOut[f*G+g] = psiBar[g]
 			}
@@ -179,12 +205,8 @@ func (p *Problem) solveStep(c mesh.CellID, omega geom.Vec3, qCell, psiIn, psiOut
 //
 //	ψ_c = (q·V + Σ_axes 2·|Ω_i|·A_i·ψ_in,i) / (σt·V + Σ_axes 2·|Ω_i|·A_i)
 //	ψ_out,i = 2·ψ_c − ψ_in,i   (set-to-zero fixup when negative)
-func (p *Problem) solveDiamond(c mesh.CellID, omega geom.Vec3, qCell, psiIn, psiOut, psiBar []float64) {
-	m := p.M
-	mat := p.Mat(c)
-	vol := m.CellVolume(c)
-	G := p.Groups
-
+func solveDiamond(faces []mesh.FaceGeom, vol float64, sigmaT []float64, omega geom.Vec3, qCell, psiIn, psiOut, psiBar []float64) {
+	G := len(sigmaT)
 	// Identify the incoming face per axis: faces come in (lo, hi) pairs.
 	type axis struct {
 		inFace, outFace int
@@ -193,7 +215,7 @@ func (p *Problem) solveDiamond(c mesh.CellID, omega geom.Vec3, qCell, psiIn, psi
 	var axes [3]axis
 	for i := 0; i < 3; i++ {
 		lo, hi := 2*i, 2*i+1
-		fLo := m.Face(c, lo)
+		fLo := &faces[lo]
 		dot := omega.Dot(fLo.Normal) // negative when flow enters through lo
 		if dot < 0 {
 			axes[i] = axis{inFace: lo, outFace: hi, coef: 2 * (-dot) * fLo.Area}
@@ -201,7 +223,6 @@ func (p *Problem) solveDiamond(c mesh.CellID, omega geom.Vec3, qCell, psiIn, psi
 			axes[i] = axis{inFace: hi, outFace: lo, coef: 2 * dot * fLo.Area}
 		}
 	}
-	var denom float64
 	for g := 0; g < G; g++ {
 		psiBar[g] = qCell[g] * vol
 	}
@@ -213,8 +234,7 @@ func (p *Problem) solveDiamond(c mesh.CellID, omega geom.Vec3, qCell, psiIn, psi
 		}
 	}
 	for g := 0; g < G; g++ {
-		denom = mat.SigmaT[g]*vol + denomBase
-		psiBar[g] /= denom
+		psiBar[g] /= sigmaT[g]*vol + denomBase
 	}
 	for i := 0; i < 3; i++ {
 		for g := 0; g < G; g++ {
