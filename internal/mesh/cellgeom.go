@@ -3,7 +3,6 @@ package mesh
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"jsweep/internal/geom"
 )
@@ -44,12 +43,13 @@ type CellGeometry struct {
 }
 
 // NewCellGeometry builds the table in one pass over cells × faces. Every
-// cell must have the same face count (both mesh families do).
-func NewCellGeometry(m Mesh) *CellGeometry {
+// cell must have the same face count (both mesh families do); a mesh
+// whose cells differ is an error.
+func NewCellGeometry(m Mesh) (*CellGeometry, error) {
 	n := m.NumCells()
 	g := &CellGeometry{mat: make([]int32, n)}
 	if n == 0 {
-		return g
+		return g, nil
 	}
 	nf := m.NumFaces(0)
 	g.nf = nf
@@ -57,7 +57,7 @@ func NewCellGeometry(m Mesh) *CellGeometry {
 	for c := 0; c < n; c++ {
 		id := CellID(c)
 		if got := m.NumFaces(id); got != nf {
-			panic(fmt.Sprintf("mesh: cell %d has %d faces, cell 0 has %d; CellGeometry needs a constant face count", c, got, nf))
+			return nil, fmt.Errorf("mesh: cell %d has %d faces, cell 0 has %d; CellGeometry needs a constant face count", c, got, nf)
 		}
 		g.mat[c] = int32(m.Material(id))
 		for i := range row {
@@ -83,7 +83,7 @@ func NewCellGeometry(m Mesh) *CellGeometry {
 		g.faces = append(g.faces, row...)
 		g.vol = append(g.vol, vol)
 	}
-	return g
+	return g, nil
 }
 
 // sameRow reports whether two cells' kernel inputs are bitwise equal
@@ -121,11 +121,3 @@ func (g *CellGeometry) Volume(c CellID) float64 { return g.vol[int(c)*g.volStep]
 
 // Material returns the material zone id of cell c.
 func (g *CellGeometry) Material(c CellID) int { return int(g.mat[c]) }
-
-// Shared reports whether all cells share one geometry row.
-func (g *CellGeometry) Shared() bool { return g.faceStep == 0 }
-
-// Bytes returns the table's memory footprint.
-func (g *CellGeometry) Bytes() int {
-	return int(unsafe.Sizeof(FaceGeom{}))*len(g.faces) + 8*len(g.vol) + 4*len(g.mat)
-}

@@ -2,7 +2,9 @@ package mesh
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"jsweep/internal/geom"
 )
@@ -33,16 +35,33 @@ func checkGeometry(t *testing.T, m Mesh, g *CellGeometry) {
 	}
 }
 
+func mustGeometry(t *testing.T, m Mesh) *CellGeometry {
+	t.Helper()
+	g, err := NewCellGeometry(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// shared reports whether all cells read one geometry row.
+func shared(g *CellGeometry) bool { return g.faceStep == 0 }
+
+// tableBytes is the table's memory footprint.
+func tableBytes(g *CellGeometry) int {
+	return int(unsafe.Sizeof(FaceGeom{}))*len(g.faces) + 8*len(g.vol) + 4*len(g.mat)
+}
+
 func TestCellGeometryUniformGridSharesOneRow(t *testing.T) {
 	m := mustStructured(t, 4, 5, 6)
 	m.SetMaterialFunc(func(c geom.Vec3) int { return int(c.X) % 3 })
-	g := NewCellGeometry(m)
+	g := mustGeometry(t, m)
 	checkGeometry(t, m, g)
-	if !g.Shared() || g.FacesPerCell() != 6 {
-		t.Errorf("Shared=%v faces=%d, want one shared six-face row", g.Shared(), g.FacesPerCell())
+	if !shared(g) || g.FacesPerCell() != 6 {
+		t.Errorf("Shared=%v faces=%d, want one shared six-face row", shared(g), g.FacesPerCell())
 	}
-	if want := 4*m.NumCells() + 6*32 + 8; g.Bytes() != want {
-		t.Errorf("Bytes = %d, want %d (4 B per cell + one row)", g.Bytes(), want)
+	if want := 4*m.NumCells() + 6*32 + 8; tableBytes(g) != want {
+		t.Errorf("Bytes = %d, want %d (4 B per cell + one row)", tableBytes(g), want)
 	}
 }
 
@@ -52,13 +71,13 @@ func TestCellGeometryTetsKeepPerCellRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewCellGeometry(m)
+	g := mustGeometry(t, m)
 	checkGeometry(t, m, g)
-	if g.Shared() || g.FacesPerCell() != 4 {
-		t.Errorf("Shared=%v faces=%d, want per-cell four-face rows", g.Shared(), g.FacesPerCell())
+	if shared(g) || g.FacesPerCell() != 4 {
+		t.Errorf("Shared=%v faces=%d, want per-cell four-face rows", shared(g), g.FacesPerCell())
 	}
-	if want := 140 * m.NumCells(); g.Bytes() != want {
-		t.Errorf("Bytes = %d, want %d (140 B per tet)", g.Bytes(), want)
+	if want := 140 * m.NumCells(); tableBytes(g) != want {
+		t.Errorf("Bytes = %d, want %d (140 B per tet)", tableBytes(g), want)
 	}
 }
 
@@ -81,10 +100,27 @@ func TestCellGeometryUnsharesOnFirstDifferingCell(t *testing.T) {
 	base := mustStructured(t, 3, 3, 3)
 	for _, odd := range []CellID{1, 13, 26} {
 		m := oddCell{base, odd}
-		g := NewCellGeometry(m)
+		g := mustGeometry(t, m)
 		checkGeometry(t, m, g)
-		if g.Shared() {
+		if shared(g) {
 			t.Errorf("odd cell %d: table still shares one row", odd)
 		}
+	}
+}
+
+// raggedMesh reports one face fewer for its last cell.
+type raggedMesh struct{ *Structured3D }
+
+func (m raggedMesh) NumFaces(c CellID) int {
+	if int(c) == m.NumCells()-1 {
+		return 5
+	}
+	return m.Structured3D.NumFaces(c)
+}
+
+func TestCellGeometryRejectsVaryingFaceCount(t *testing.T) {
+	g, err := NewCellGeometry(raggedMesh{mustStructured(t, 2, 2, 2)})
+	if err == nil || g != nil || !strings.Contains(err.Error(), "cell 7 has 5 faces") {
+		t.Fatalf("got table %v, err %v; want a face-count error naming cell 7", g, err)
 	}
 }

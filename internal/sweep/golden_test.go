@@ -124,17 +124,21 @@ func TestGoldenBallMatchesReference(t *testing.T) {
 	}
 }
 
-// Aggregation must carry every routed stream while cutting transport
-// messages — checked on a real solve, not a synthetic grid. How many
-// streams a sweep routes depends on the schedule (a program computed on
-// partial input emits its streams in more, smaller pieces), so two runs
-// agree only to within that jitter; the exact invariant is inside the
-// aggregated run: every remote stream left in a batch.
+// Aggregation must leave the routed stream count invariant while cutting
+// transport messages — checked on a real solve, not a synthetic grid.
+//
+// The two runs are scheduled separately, and a patch-program that computes
+// on partial input emits its boundary flux in more, smaller streams, so
+// the count is comparable only on a pinned schedule. Grain 64 is one whole
+// 4³ patch per Compute: every S2 direction has three non-zero components,
+// so all cells of a block depend on its upwind corner cell, which needs a
+// face from every upstream patch — each patch-angle therefore solves in
+// exactly one Compute and routes exactly one stream per downstream patch.
 func TestGoldenAggregationMessageInvariants(t *testing.T) {
 	prob, d := kobaSmall(t, false)
 	run := func(agg runtime.AggregationConfig) runtime.Stats {
 		s, err := sweep.NewSolver(prob, d, sweep.Options{
-			Procs: 3, Workers: 2, Grain: 32,
+			Procs: 3, Workers: 2, Grain: 64,
 			Pair:        priority.Pair{Patch: priority.SLBD, Vertex: priority.SLBD},
 			Aggregation: agg,
 		})
@@ -148,11 +152,11 @@ func TestGoldenAggregationMessageInvariants(t *testing.T) {
 	}
 	off := run(runtime.AggregationConfig{})
 	on := run(runtime.AggregationConfig{Enabled: true})
-	if on.StreamsBatched != on.RemoteStreams {
-		t.Errorf("StreamsBatched=%d, want RemoteStreams=%d", on.StreamsBatched, on.RemoteStreams)
+	if on.RemoteStreams != off.RemoteStreams {
+		t.Errorf("RemoteStreams changed: on=%d off=%d", on.RemoteStreams, off.RemoteStreams)
 	}
-	if d := on.RemoteStreams - off.RemoteStreams; d*10 > off.RemoteStreams || -d*10 > off.RemoteStreams {
-		t.Errorf("RemoteStreams beyond schedule jitter: on=%d off=%d", on.RemoteStreams, off.RemoteStreams)
+	if on.StreamsBatched != on.RemoteStreams {
+		t.Errorf("StreamsBatched=%d, want every remote stream (%d) in a batch", on.StreamsBatched, on.RemoteStreams)
 	}
 	if on.BatchesSent == 0 || on.BatchesSent >= on.RemoteStreams {
 		t.Errorf("BatchesSent=%d, want in (0, %d)", on.BatchesSent, on.RemoteStreams)

@@ -3,6 +3,7 @@ package transport_test
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,7 +200,7 @@ func TestKernelMatchesOracleBallStep(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Geometry().Shared() {
+	if sharesRow(p) {
 		t.Fatal("a tet ball must not collapse to one shared geometry row")
 	}
 	cov := checkKernel(t, p, grazingOmegas, 1)
@@ -216,7 +217,7 @@ func TestKernelMatchesOracleKobayashi(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !p.Geometry().Shared() {
+		if !sharesRow(p) {
 			t.Fatal("a uniform structured grid must share one geometry row")
 		}
 		cov := checkKernel(t, p, grazingOmegas, 2)
@@ -252,6 +253,13 @@ func TestKernelMatchesOracleTwistedRing(t *testing.T) {
 	}
 }
 
+// sharesRow reports whether the problem's geometry table serves every cell
+// from one row (the first two cells' faces alias).
+func sharesRow(p *transport.Problem) bool {
+	g := p.Geometry()
+	return &g.Faces(0)[0] == &g.Faces(1)[0]
+}
+
 // gradedGrid is a structured grid whose cells grow along x: every cell has
 // its own areas and volume, so the geometry table cannot share a row and
 // the six-face kernels run on per-cell rows.
@@ -285,10 +293,58 @@ func TestKernelMatchesOracleGradedGrid(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if p.Geometry().Shared() {
+		if sharesRow(p) {
 			t.Fatal("a graded grid must keep per-cell rows")
 		}
 		checkKernel(t, p, grazingOmegas, 5)
+	}
+}
+
+// faceCountMesh overrides the face count: of every cell (cell < 0) or of
+// one cell only.
+type faceCountMesh struct {
+	mesh.Mesh
+	cell mesh.CellID
+	n    int
+}
+
+func (m faceCountMesh) NumFaces(c mesh.CellID) int {
+	if m.cell < 0 || c == m.cell {
+		return m.n
+	}
+	return m.Mesh.NumFaces(c)
+}
+
+func (m faceCountMesh) Face(c mesh.CellID, f int) mesh.Face {
+	return m.Mesh.Face(c, f%m.Mesh.NumFaces(c))
+}
+
+// A mesh the kernels cannot handle is a Validate error, not a panic; only
+// the SolveCell path (which has no error return) panics.
+func TestValidateRejectsUnsupportedFaceCounts(t *testing.T) {
+	base, err := mesh.NewStructured3D(2, 2, 2, geom.Vec3{}, geom.Vec3{X: 1, Y: 1, Z: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		m    mesh.Mesh
+		want string
+	}{
+		"nine faces":   {faceCountMesh{base, -1, 9}, "at most 8"},
+		"ragged faces": {faceCountMesh{base, 5, 4}, "constant face count"},
+	} {
+		p := &transport.Problem{M: tc.m, Mats: threeGroupMats()[:1], Quad: s4(t), Groups: 3, Scheme: transport.Step}
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", name, err, tc.want)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: MaxFaces did not panic on an invalid problem", name)
+				}
+			}()
+			p.MaxFaces()
+		}()
 	}
 }
 

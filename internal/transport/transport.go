@@ -72,20 +72,36 @@ type Problem struct {
 
 	cellsOnce sync.Once
 	cells     *mesh.CellGeometry
+	cellsErr  error
 }
 
 // Geometry returns the problem's cell-geometry table, building it from M
-// on the first call. Safe for concurrent use.
+// on the first call. Safe for concurrent use. It panics on a mesh the
+// kernels cannot handle; Validate reports the same condition as an error.
 func (p *Problem) Geometry() *mesh.CellGeometry {
+	cells, err := p.geometry()
+	if err != nil {
+		panic(err)
+	}
+	return cells
+}
+
+func (p *Problem) geometry() (*mesh.CellGeometry, error) {
 	p.cellsOnce.Do(p.buildGeometry)
-	return p.cells
+	return p.cells, p.cellsErr
 }
 
 func (p *Problem) buildGeometry() {
-	p.cells = mesh.NewCellGeometry(p.M)
-	if nf := p.cells.FacesPerCell(); nf > maxKernelFaces {
-		panic(fmt.Sprintf("transport: cells have %d faces, the kernels handle at most %d", nf, maxKernelFaces))
+	cells, err := mesh.NewCellGeometry(p.M)
+	if err != nil {
+		p.cellsErr = fmt.Errorf("transport: %w", err)
+		return
 	}
+	if nf := cells.FacesPerCell(); nf > maxKernelFaces {
+		p.cellsErr = fmt.Errorf("transport: cells have %d faces, the kernels handle at most %d", nf, maxKernelFaces)
+		return
+	}
+	p.cells = cells
 }
 
 // maxKernelFaces bounds the faces of one cell: solveStep keeps the
@@ -122,7 +138,10 @@ func (p *Problem) Validate() error {
 	if p.Scheme == Diamond && !p.M.Structured() {
 		return fmt.Errorf("transport: diamond differencing requires a structured mesh")
 	}
-	cells := p.Geometry()
+	cells, err := p.geometry()
+	if err != nil {
+		return err
+	}
 	for c, nc := 0, cells.NumCells(); c < nc; c++ {
 		z := cells.Material(mesh.CellID(c))
 		if z < 0 || z >= len(p.Mats) {
