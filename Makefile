@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race vet fmt bench benchmark-smoke fuzz agg-bench iter-bench cyclic-bench net-bench obs-bench net-smoke serve-smoke cover clean examples api-check
+.PHONY: all build test short race allocs vet fmt bench benchmark-smoke fuzz agg-bench iter-bench cyclic-bench net-bench obs-bench net-smoke serve-smoke cover clean examples api-check
 
 all: build vet test
 
@@ -28,6 +28,14 @@ short:
 
 race:
 	$(GO) test -race ./...
+
+# Allocation ceilings: zero per steady-state program sweep, a constant per
+# runtime round and message, fixed handfuls in graph and priority set-up.
+# They need a run WITHOUT -race (under the race detector sync.Pool drops
+# buffers and the exact-count tests skip), and the full CI test run is
+# -race only — hence this target (mirrors the CI step).
+allocs:
+	$(GO) test -run 'Allocs|AllocCeiling' ./internal/sweep ./internal/runtime ./internal/graph ./internal/priority
 
 # go vet plus jsweepvet, the in-repo analyzer suite that machine-checks
 # jsweep's own invariants (see DESIGN.md "Static analysis").

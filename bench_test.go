@@ -150,6 +150,47 @@ func BenchmarkKernelSweepOrderBall20kStep(b *testing.B) {
 	benchKernelSweepOrder(b, prob)
 }
 
+// benchProgramCycle runs whole sweeps of the fine patch-programs on the
+// sequential engine — kernel plus everything Listing 1 does around it
+// (queues, counters, stream encode/decode, Alg. 1 cycles), no threads, no
+// transport. Reports ns per (cell, angle): minus the SweepOrder kernel
+// benchmark of the same mesh above, that is the program overhead.
+func benchProgramCycle(b *testing.B, family string, p registry.Params) {
+	prob, d, err := registry.Build(family, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sweep.NewSolver(prob, d, sweep.Options{Sequential: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := flatQ(prob)
+	sweepOnce := func() {
+		phi, err := s.Sweep(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.RecycleFlux(phi)
+	}
+	sweepOnce() // allocate the program contexts, fill the pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweepOnce()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*prob.M.NumCells()*prob.Quad.NumAngles()), "ns/cell-angle")
+}
+
+// BenchmarkProgramCycleKobayashi32: 32 768 hexes × 24 angles, 64 patches.
+func BenchmarkProgramCycleKobayashi32(b *testing.B) {
+	benchProgramCycle(b, "kobayashi", registry.Params{N: 32, SnOrder: 4})
+}
+
+// BenchmarkProgramCycleBall20k: 22 170 tets × 24 angles, patch 500.
+func BenchmarkProgramCycleBall20k(b *testing.B) {
+	benchProgramCycle(b, "ball", registry.Params{Cells: 20000, SnOrder: 4, Patch: 500})
+}
+
 // BenchmarkReferenceSweep measures the serial ground-truth executor.
 func BenchmarkReferenceSweep(b *testing.B) {
 	prob, _ := kobaFixture(b, 16)

@@ -8,11 +8,17 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
+// A tracked buffer is a plain variable or a field/element path rooted at
+// one (s.Payload, batch[i].Payload — how stream payloads are released),
+// so reading a payload after the master recycled it is caught like
+// reading a message buffer after SendPooled.
+//
 // PooledBuf flags (a) any use of a []byte after it was released via
 // SendPooled/PutBuffer in the same function, (b) pool-obtained buffers
 // escaping through a plain Send call (they never recycle, and a shared
@@ -53,9 +59,74 @@ type bufEvent struct {
 	reassign bool // obj is the sole LHS of an assignment (ownership re-armed)
 }
 
+// bufRef names a tracked buffer expression: a variable, or a field/element
+// path rooted at one.
+type bufRef struct {
+	// key identifies the expression within the function: its source form
+	// with every identifier pinned to its declaration.
+	key string
+	// name is the source form, for diagnostics.
+	name string
+	// prefixes are the keys of the enclosing paths (batch[i] and batch for
+	// batch[i].Payload): assigning to one of them re-arms the buffer.
+	prefixes []string
+	// decls are the declaration positions of the identifiers the path is
+	// built from.
+	decls []token.Pos
+}
+
+// bufRefOf canonicalises e, or reports false when e is not a trackable
+// path (calls, arithmetic indices, ...).
+func bufRefOf(info *types.Info, e ast.Expr) (bufRef, bool) {
+	switch x := unparen(e).(type) {
+	case *ast.Ident:
+		obj := lhsObject(info, x)
+		if obj == nil || x.Name == "_" {
+			return bufRef{}, false
+		}
+		return bufRef{key: fmt.Sprintf("%s@%d", x.Name, obj.Pos()), name: x.Name, decls: []token.Pos{obj.Pos()}}, true
+	case *ast.SelectorExpr:
+		if sel := info.Selections[x]; sel == nil || sel.Kind() != types.FieldVal {
+			return bufRef{}, false
+		}
+		r, ok := bufRefOf(info, x.X)
+		if !ok {
+			return bufRef{}, false
+		}
+		r.prefixes = append(r.prefixes, r.key)
+		r.key += "." + x.Sel.Name
+		r.name += "." + x.Sel.Name
+		return r, true
+	case *ast.IndexExpr:
+		r, ok := bufRefOf(info, x.X)
+		if !ok {
+			return bufRef{}, false
+		}
+		idx := ""
+		switch i := unparen(x.Index).(type) {
+		case *ast.BasicLit:
+			idx = i.Value
+		case *ast.Ident:
+			ir, ok := bufRefOf(info, i)
+			if !ok {
+				return bufRef{}, false
+			}
+			idx = ir.key
+			r.decls = append(r.decls, ir.decls...)
+		default:
+			return bufRef{}, false
+		}
+		r.prefixes = append(r.prefixes, r.key)
+		r.key += "[" + idx + "]"
+		r.name = types.ExprString(x)
+		return r, true
+	}
+	return bufRef{}, false
+}
+
 // bufRelease is one ownership hand-off.
 type bufRelease struct {
-	obj     types.Object
+	ref     bufRef
 	pos     token.Pos
 	call    *ast.CallExpr
 	inDefer bool
@@ -73,7 +144,7 @@ func checkPooledFunc(pass *Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 
 	pooled := make(map[types.Object]bool) // vars holding a GetBuffer-backed slice
-	uses := make(map[types.Object][]bufEvent)
+	uses := make(map[string][]bufEvent)   // by bufRef key
 	var releases []bufRelease
 
 	var loopStack []*loopInfo
@@ -101,13 +172,12 @@ func checkPooledFunc(pass *Pass, body *ast.BlockStmt) {
 			deferDepth--
 			return
 		case *ast.AssignStmt:
-			// Record re-arms: `x = ...` / `x := ...` with x alone on the
-			// left resets ownership from that point on.
+			// Record re-arms: `x = ...` / `x := ...` with x (or a path such
+			// as s.Payload) alone on the left resets ownership from that
+			// point on.
 			for _, lhs := range s.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-					if obj := lhsObject(info, id); obj != nil {
-						uses[obj] = append(uses[obj], bufEvent{pos: id.Pos(), reassign: len(s.Lhs) == 1})
-					}
+				if ref, ok := bufRefOf(info, lhs); ok {
+					uses[ref.key] = append(uses[ref.key], bufEvent{pos: lhs.Pos(), reassign: len(s.Lhs) == 1})
 				}
 			}
 			// Track pool provenance: RHS containing a GetBuffer call arms
@@ -124,25 +194,22 @@ func checkPooledFunc(pass *Pass, body *ast.BlockStmt) {
 			}
 			return
 		case *ast.CallExpr:
-			if obj, relArg := releaseCall(info, s); relArg != nil {
-				if id, ok := unparen(relArg).(*ast.Ident); ok {
-					if o := info.Uses[id]; o != nil {
-						loops := make([]*loopInfo, len(loopStack))
-						copy(loops, loopStack)
-						releases = append(releases, bufRelease{
-							obj: o, pos: s.Pos(), call: s, inDefer: deferDepth > 0, loops: loops,
-						})
-						// The released argument itself is not a "use".
-						for _, arg := range s.Args {
-							if unparen(arg) != unparen(relArg) {
-								walk(arg)
-							}
+			if relArg := releaseCall(info, s); relArg != nil {
+				if ref, ok := bufRefOf(info, relArg); ok {
+					loops := make([]*loopInfo, len(loopStack))
+					copy(loops, loopStack)
+					releases = append(releases, bufRelease{
+						ref: ref, pos: s.Pos(), call: s, inDefer: deferDepth > 0, loops: loops,
+					})
+					// The released argument itself is not a "use".
+					for _, arg := range s.Args {
+						if unparen(arg) != unparen(relArg) {
+							walk(arg)
 						}
-						walk(s.Fun)
-						return
 					}
+					walk(s.Fun)
+					return
 				}
-				_ = obj
 			}
 			if plainSendCall(info, s) {
 				for _, arg := range s.Args {
@@ -156,9 +223,16 @@ func checkPooledFunc(pass *Pass, body *ast.BlockStmt) {
 			}
 		case *ast.Ident:
 			if o := info.Uses[s]; o != nil {
-				uses[o] = append(uses[o], bufEvent{pos: s.Pos()})
+				if ref, ok := bufRefOf(info, s); ok {
+					uses[ref.key] = append(uses[ref.key], bufEvent{pos: s.Pos()})
+				}
 			}
 			return
+		case *ast.SelectorExpr, *ast.IndexExpr:
+			// A path use; its parts are walked below as uses of their own.
+			if ref, ok := bufRefOf(info, s.(ast.Expr)); ok {
+				uses[ref.key] = append(uses[ref.key], bufEvent{pos: s.Pos()})
+			}
 		}
 		ast.Inspect(n, func(m ast.Node) bool {
 			if m == n {
@@ -172,14 +246,35 @@ func checkPooledFunc(pass *Pass, body *ast.BlockStmt) {
 		walk(stmt)
 	}
 
+	// rearmed reports whether the buffer of rel was assigned afresh —
+	// itself or through an enclosing path — between lo and hi.
+	rearmed := func(rel bufRelease, lo, hi token.Pos) bool {
+		if reassignedBetween(uses[rel.ref.key], lo, hi) {
+			return true
+		}
+		for _, prefix := range rel.ref.prefixes {
+			if reassignedBetween(uses[prefix], lo, hi) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, rel := range releases {
 		// (c) in-loop release of a loop-external buffer: iteration two
-		// touches a slice the pool may already have handed out again.
+		// touches a slice the pool may already have handed out again. A
+		// path through a loop-local identifier (batch[i].Payload) names a
+		// different buffer every iteration.
 		if !rel.inDefer && len(rel.loops) > 0 {
 			inner := rel.loops[len(rel.loops)-1]
-			if rel.obj.Pos() < inner.pos || rel.obj.Pos() > inner.end {
+			external := true
+			for _, decl := range rel.ref.decls {
+				if decl >= inner.pos && decl <= inner.end {
+					external = false
+				}
+			}
+			if external {
 				pass.Reportf(rel.pos,
-					"buffer %s released inside a loop but declared outside it: a later iteration reuses a slice the pool owns", rel.obj.Name())
+					"buffer %s released inside a loop but declared outside it: a later iteration reuses a slice the pool owns", rel.ref.name)
 				continue
 			}
 		}
@@ -190,30 +285,30 @@ func checkPooledFunc(pass *Pass, body *ast.BlockStmt) {
 		// memory too (the release argument itself is exempted from the
 		// use scan below, so double-releases need their own pass).
 		for _, later := range releases {
-			if later.obj != rel.obj || later.inDefer || later.pos <= rel.call.End() {
+			if later.ref.key != rel.ref.key || later.inDefer || later.pos <= rel.call.End() {
 				continue
 			}
-			if reassignedBetween(uses[rel.obj], rel.call.End(), later.pos) {
+			if rearmed(rel, rel.call.End(), later.pos) {
 				continue
 			}
 			pass.Reportf(later.pos,
-				"use of buffer %s after it was released at line %d: SendPooled/PutBuffer hand ownership to the pool", rel.obj.Name(),
+				"use of buffer %s after it was released at line %d: SendPooled/PutBuffer hand ownership to the pool", rel.ref.name,
 				pass.Fset.Position(rel.pos).Line)
 		}
 		// (a) any occurrence after the release, unless a reassignment
 		// re-armed the variable in between.
-		for _, ev := range uses[rel.obj] {
+		for _, ev := range uses[rel.ref.key] {
 			if ev.pos <= rel.call.End() {
 				continue
 			}
-			if reassignedBetween(uses[rel.obj], rel.call.End(), ev.pos) {
+			if rearmed(rel, rel.call.End(), ev.pos) {
 				continue
 			}
 			if ev.reassign {
 				continue // the re-arm itself is fine
 			}
 			pass.Reportf(ev.pos,
-				"use of buffer %s after it was released at line %d: SendPooled/PutBuffer hand ownership to the pool", rel.obj.Name(),
+				"use of buffer %s after it was released at line %d: SendPooled/PutBuffer hand ownership to the pool", rel.ref.name,
 				pass.Fset.Position(rel.pos).Line)
 		}
 	}
@@ -250,26 +345,26 @@ func unparen(e ast.Expr) ast.Expr {
 // releaseCall recognises comm.SendPooled(ep, to, data),
 // comm.PutBuffer(data) and any method call named SendPooled(to, data),
 // returning the released data argument.
-func releaseCall(info *types.Info, call *ast.CallExpr) (types.Object, ast.Expr) {
+func releaseCall(info *types.Info, call *ast.CallExpr) ast.Expr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	obj := info.Uses[sel.Sel]
 	if obj == nil {
-		return nil, nil
+		return nil
 	}
 	switch sel.Sel.Name {
 	case "PutBuffer":
 		if pathBase(funcPkgPath(obj)) == "comm" && len(call.Args) == 1 {
-			return obj, call.Args[0]
+			return call.Args[0]
 		}
 	case "SendPooled":
 		if len(call.Args) >= 1 {
-			return obj, call.Args[len(call.Args)-1]
+			return call.Args[len(call.Args)-1]
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // exprHasGetBuffer reports whether the expression contains a call to

@@ -76,6 +76,53 @@ func deferredPut() int {
 	return len(buf)
 }
 
+// stream mirrors core.Stream: the payload travels as a field.
+type stream struct {
+	tgt     int
+	payload []byte
+}
+
+// payloadReadAfterRelease is the remote route gone wrong: the master
+// packed the stream into a message, recycled the payload the program
+// handed over at Output — and then read it again.
+func payloadReadAfterRelease(msg []byte, s stream) []byte {
+	msg = append(msg, s.payload...)
+	comm.PutBuffer(s.payload)
+	return append(msg, s.payload[0]) // want `use of buffer s.payload after it was released`
+}
+
+// batchReadAfterRelease is the same through a batch element, with a
+// second release on top.
+func batchReadAfterRelease(batch []stream) int {
+	n := 0
+	for i := range batch {
+		comm.PutBuffer(batch[i].payload)
+		n += len(batch[i].payload)       // want `use of buffer batch\[i\].payload after it was released`
+		comm.PutBuffer(batch[i].payload) // want `use of buffer batch\[i\].payload after it was released`
+	}
+	return n
+}
+
+// releaseAndClear is the correct shape (runtime.releasePayloads): every
+// element is released once and cleared, so the batch cannot reach a
+// released buffer; other fields stay readable.
+func releaseAndClear(batch []stream) int {
+	tgts := 0
+	for i := range batch {
+		comm.PutBuffer(batch[i].payload)
+		tgts += batch[i].tgt
+		batch[i] = stream{}
+	}
+	return tgts
+}
+
+// sharedPayloadRelease releases one loop-external payload per iteration.
+func sharedPayloadRelease(s stream, n int) {
+	for i := 0; i < n; i++ {
+		comm.PutBuffer(s.payload) // want `released inside a loop but declared outside`
+	}
+}
+
 // escapeHatch: a reviewed exception stays visible via the pragma.
 func escapeHatch(ep comm.Endpoint) int {
 	buf := comm.GetBuffer(64)

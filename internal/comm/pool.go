@@ -1,11 +1,16 @@
-// Process-global payload-buffer pool: the comm-level counterpart of the
-// sweep package's per-program freelists (internal/sweep/pool.go). The
-// runtime's master loops allocate every outbound data-lane message here
-// and recycle every consumed inbound one, so a steady-state solve stops
-// allocating per message: with the in-memory backend a buffer travels
-// sender → receiver → pool, with the netcomm backend the sender's
-// transport recycles it after the write syscall and the receiver's read
-// loop draws its inbound buffers from its own process's pool.
+// Process-global byte-buffer pool, the one pool behind both things that
+// travel: stream payloads and data-lane messages. A patch-program draws
+// each outgoing payload here and hands it over at Output; whoever consumes
+// it puts it back — the target program's Input on a local route, the master
+// right after packing it into a message on a remote route, and on the
+// receiving rank the codec copies it into a fresh pooled buffer that the
+// target's Input releases in turn. The runtime's master loops likewise
+// allocate every outbound message here and recycle every consumed inbound
+// one: with the in-memory backend a buffer travels sender → receiver →
+// pool, with the netcomm backend the sender's transport recycles it after
+// the write syscall and the receiver's read loop draws its inbound buffers
+// from its own process's pool. A steady-state solve therefore allocates
+// neither per stream nor per message.
 //
 // Ownership discipline (also recorded in DESIGN.md): a buffer has exactly
 // one owner at every hop. PutBuffer hands ownership to the pool — the
@@ -28,6 +33,11 @@ const (
 )
 
 var bufPools [maxPoolShift - minPoolShift + 1]sync.Pool
+
+// boxPool recycles the *[]byte boxes the class pools store (a sync.Pool
+// holds pointers): Get empties a box into it, Put refills one from it, so
+// neither allocates once warm.
+var boxPool sync.Pool
 
 // poolingOff disables the pool (benchmark ablation); zero value = pooling on.
 var poolingOff atomic.Bool
@@ -59,7 +69,11 @@ func GetBuffer(n int) []byte {
 		return make([]byte, 0, n)
 	}
 	if v := bufPools[shift-minPoolShift].Get(); v != nil {
-		return (*v.(*[]byte))[:0]
+		box := v.(*[]byte)
+		b := *box
+		*box = nil
+		boxPool.Put(box)
+		return b
 	}
 	return make([]byte, 0, 1<<shift)
 }
@@ -77,8 +91,12 @@ func PutBuffer(b []byte) {
 	if shift > maxPoolShift {
 		return
 	}
-	b = b[:0]
-	bufPools[shift-minPoolShift].Put(&b)
+	box, _ := boxPool.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	bufPools[shift-minPoolShift].Put(box)
 }
 
 // PooledSender is the optional endpoint capability behind SendPooled: a

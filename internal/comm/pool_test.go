@@ -89,9 +89,10 @@ func TestPooledSendSteadyStateAllocs(t *testing.T) {
 		}
 		PutBuffer(m.Data)
 	})
-	// One small allocation per cycle is tolerated (the pool boxes the
-	// slice header on Put); the 4 KiB payload itself must be reused.
-	if allocs > 2 {
+	// One small allocation per cycle is tolerated (the inbox queue regrows
+	// once it has drained); the 4 KiB payload itself must be reused and
+	// PutBuffer recycles the box the pool stores the slice header in.
+	if allocs > 1 {
 		t.Fatalf("steady-state send/recv/recycle allocates %.1f times per message", allocs)
 	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
+	"jsweep/internal/comm"
 	"jsweep/internal/mesh"
 )
 
@@ -76,33 +78,43 @@ func EncodeStreams(dst []byte, streams []Stream) []byte {
 // DecodeStreams unpacks a batch of streams. Payloads are copied out of buf
 // so the caller may reuse it.
 func DecodeStreams(buf []byte) ([]Stream, error) {
-	out, off, err := decodeStreamsAt(buf, 0)
+	return AppendDecodedStreams(nil, buf)
+}
+
+// AppendDecodedStreams is DecodeStreams into a caller-owned slice: the
+// decoded streams are appended to dst (on error dst comes back at its
+// original length). Each payload is copied into its own buffer from
+// comm.GetBuffer — the target program's Input releases it, as it does for a
+// locally routed payload.
+func AppendDecodedStreams(dst []Stream, buf []byte) ([]Stream, error) {
+	out, off, err := decodeStreamsAt(dst, buf, 0)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if off != len(buf) {
-		return nil, fmt.Errorf("core: %d trailing bytes after stream batch", len(buf)-off)
+		return dst, fmt.Errorf("core: %d trailing bytes after stream batch", len(buf)-off)
 	}
 	return out, nil
 }
 
-// decodeStreamsAt unpacks one stream batch starting at off and returns the
-// streams plus the offset just past the batch.
-func decodeStreamsAt(buf []byte, off int) ([]Stream, int, error) {
+// decodeStreamsAt unpacks one stream batch starting at off, appending the
+// streams to dst, and returns the extended slice plus the offset just past
+// the batch.
+func decodeStreamsAt(dst []Stream, buf []byte, off int) ([]Stream, int, error) {
 	if len(buf)-off < 4 {
-		return nil, off, fmt.Errorf("core: stream batch truncated (len %d)", len(buf)-off)
+		return dst, off, fmt.Errorf("core: stream batch truncated (len %d)", len(buf)-off)
 	}
 	count := binary.LittleEndian.Uint32(buf[off:])
 	off += 4
 	// A batch of `count` streams needs at least count×header bytes: reject
 	// inflated counts before allocating.
 	if int64(count)*int64(streamHeaderSize) > int64(len(buf)-off) {
-		return nil, off, fmt.Errorf("core: stream count %d exceeds remaining %d bytes", count, len(buf)-off)
+		return dst, off, fmt.Errorf("core: stream count %d exceeds remaining %d bytes", count, len(buf)-off)
 	}
-	out := make([]Stream, 0, count)
+	out := slices.Grow(dst, int(count))
 	for i := uint32(0); i < count; i++ {
 		if len(buf)-off < streamHeaderSize {
-			return nil, off, fmt.Errorf("core: stream %d header truncated", i)
+			return dst, off, fmt.Errorf("core: stream %d header truncated", i)
 		}
 		s := Stream{
 			SrcPatch: mesh.PatchID(int32(binary.LittleEndian.Uint32(buf[off:]))),
@@ -113,10 +125,10 @@ func decodeStreamsAt(buf []byte, off int) ([]Stream, int, error) {
 		plen := int(binary.LittleEndian.Uint32(buf[off+16:]))
 		off += streamHeaderSize
 		if plen < 0 || len(buf)-off < plen {
-			return nil, off, fmt.Errorf("core: stream %d payload truncated (%d of %d bytes)", i, len(buf)-off, plen)
+			return dst, off, fmt.Errorf("core: stream %d payload truncated (%d of %d bytes)", i, len(buf)-off, plen)
 		}
 		if plen > 0 {
-			s.Payload = append([]byte(nil), buf[off:off+plen]...)
+			s.Payload = append(comm.GetBuffer(plen), buf[off:off+plen]...)
 			off += plen
 		}
 		out = append(out, s)
@@ -149,37 +161,68 @@ func EncodeFrame(dst []byte, shards [][]Stream) []byte {
 
 // DecodeFrame unpacks an aggregated frame into its shards. It validates
 // magic, version, shard count and every inner batch; any corruption or
-// truncation is an error, never a panic.
+// truncation is an error, never a panic. It is AppendDecodedFrame cut back
+// into shards, for callers that care where one shard ends (tests, tools).
 func DecodeFrame(buf []byte) ([][]Stream, error) {
+	var ends []int
+	flat, err := appendDecodedFrame(nil, &ends, buf)
+	if err != nil {
+		return nil, err
+	}
+	shards := make([][]Stream, len(ends))
+	start := 0
+	for i, end := range ends {
+		shards[i] = flat[start:end:end]
+		start = end
+	}
+	return shards, nil
+}
+
+// AppendDecodedFrame is the frame decoder the runtime uses: the streams of
+// every shard are appended to the caller-owned dst in shard order (on error
+// dst comes back at its original length). Payloads are pooled copies, as
+// in AppendDecodedStreams.
+func AppendDecodedFrame(dst []Stream, buf []byte) ([]Stream, error) {
+	return appendDecodedFrame(dst, nil, buf)
+}
+
+// appendDecodedFrame is the one walk over a frame. With ends non-nil it
+// also records len(out) after each shard, so DecodeFrame can cut the flat
+// result back into shards.
+func appendDecodedFrame(dst []Stream, ends *[]int, buf []byte) ([]Stream, error) {
 	if len(buf) < FrameHeaderSize {
-		return nil, fmt.Errorf("core: frame truncated (len %d < header %d)", len(buf), FrameHeaderSize)
+		return dst, fmt.Errorf("core: frame truncated (len %d < header %d)", len(buf), FrameHeaderSize)
 	}
 	if magic := binary.LittleEndian.Uint16(buf); magic != FrameMagic {
-		return nil, fmt.Errorf("core: bad frame magic %#04x", magic)
+		return dst, fmt.Errorf("core: bad frame magic %#04x", magic)
 	}
 	if buf[2] != FrameVersion {
-		return nil, fmt.Errorf("core: unsupported frame version %d", buf[2])
+		return dst, fmt.Errorf("core: unsupported frame version %d", buf[2])
 	}
 	if buf[3] != 0 {
-		return nil, fmt.Errorf("core: reserved frame flags %#02x must be zero", buf[3])
+		return dst, fmt.Errorf("core: reserved frame flags %#02x must be zero", buf[3])
 	}
 	shardCount := binary.LittleEndian.Uint32(buf[4:])
 	off := FrameHeaderSize
 	// Every shard carries at least its 4-byte count.
 	if int64(shardCount)*4 > int64(len(buf)-off) {
-		return nil, fmt.Errorf("core: shard count %d exceeds remaining %d bytes", shardCount, len(buf)-off)
+		return dst, fmt.Errorf("core: shard count %d exceeds remaining %d bytes", shardCount, len(buf)-off)
 	}
-	shards := make([][]Stream, 0, shardCount)
+	if ends != nil {
+		*ends = make([]int, 0, shardCount)
+	}
+	out := dst
 	for i := uint32(0); i < shardCount; i++ {
-		sh, next, err := decodeStreamsAt(buf, off)
-		if err != nil {
-			return nil, fmt.Errorf("core: frame shard %d: %w", i, err)
+		var err error
+		if out, off, err = decodeStreamsAt(out, buf, off); err != nil {
+			return dst, fmt.Errorf("core: frame shard %d: %w", i, err)
 		}
-		off = next
-		shards = append(shards, sh)
+		if ends != nil {
+			*ends = append(*ends, len(out))
+		}
 	}
 	if off != len(buf) {
-		return nil, fmt.Errorf("core: %d trailing bytes after frame", len(buf)-off)
+		return dst, fmt.Errorf("core: %d trailing bytes after frame", len(buf)-off)
 	}
-	return shards, nil
+	return out, nil
 }

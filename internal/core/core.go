@@ -54,16 +54,30 @@ func (s *Stream) Tgt() ProgramKey { return ProgramKey{s.TgtPatch, s.TgtTask} }
 // must be reentrant: the runtime may call the Input/Compute/Output cycle
 // any number of times (partial computation, §III-A1), and all state must
 // live in the program's local context between calls.
+//
+// Payload ownership: a stream's payload is handed over at Output. From then
+// on the producer must not read, write, reuse or alias it — in particular
+// it must not put the same buffer into two streams — because exactly one
+// party down the route recycles it into comm's buffer pool: the target
+// program's Input on a route that stays in the process, the runtime right
+// after packing it into a message on a route that leaves it (the receiving
+// rank then hands the target a pooled copy). Programs that draw payloads
+// from comm.GetBuffer and release them in Input with comm.PutBuffer run
+// allocation-free; a program that does neither is still correct, its
+// payloads are simply garbage collected.
 type PatchProgram interface {
 	// Init is called exactly once, before the first Input/Compute.
 	Init()
-	// Input consumes one received stream.
+	// Input consumes one received stream. The payload belongs to the
+	// program from here on: it may keep it, or recycle it with
+	// comm.PutBuffer once decoded.
 	Input(s Stream)
 	// Compute performs (a slice of) the local computation using everything
 	// received so far.
 	Compute()
 	// Output returns the next pending outgoing stream, with ok=false when
-	// none remain. The runtime keeps calling until ok=false.
+	// none remain. The runtime keeps calling until ok=false. The payload
+	// leaves with the stream (see above).
 	Output() (s Stream, ok bool)
 	// VoteToHalt reports whether the program has no ready work left. A
 	// halted program is deactivated and re-activated by the next stream.

@@ -9,6 +9,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"jsweep/internal/geom"
 	"jsweep/internal/mesh"
@@ -43,6 +45,11 @@ type RemoteEdge struct {
 	SrcFace int8
 	// Face is the face index of the downwind cell receiving the flux.
 	Face int8
+	// Slot is ToPatch's index in the owning graph's Targets list: the
+	// stream-plan slot whose in-progress payload this edge's record goes
+	// into (PatchGraph.Targets[Slot] == ToPatch). It sits in what was the
+	// struct's padding, so an edge is still 12 bytes.
+	Slot uint16
 }
 
 // LagIn is a lagged incoming edge of a patch graph: local vertex V's face
@@ -91,6 +98,16 @@ type PatchGraph struct {
 	RemoteStart []int32
 	RemoteAdj   []RemoteEdge
 
+	// Targets is the stream plan: the distinct downwind patches of
+	// RemoteAdj in strictly ascending order (lagged edges excluded — they
+	// send nothing during the sweep). A program keeps one outgoing payload
+	// per entry and flushes them in this order, so streams of one Compute
+	// leave sorted by target patch without sorting anything at run time.
+	// TargetEdges[i] counts the RemoteAdj edges into Targets[i]: the most
+	// records slot i can see over one sweep.
+	Targets     []mesh.PatchID
+	TargetEdges []int32
+
 	// LagIn / LagOut list this patch's ends of the lagged feedback edges
 	// (both empty on acyclic meshes), in ascending (cell, face) order.
 	LagIn  []LagIn
@@ -119,7 +136,7 @@ func (g *PatchGraph) NumEdges() (local, remote int) {
 // direction omega. The angle id is recorded but does not influence the
 // construction beyond omega.
 func BuildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, angle int32) *PatchGraph {
-	return buildPatchGraph(d, p, omega, angle, nil, nil)
+	return buildPatchGraph(d, p, omega, angle, nil, nil, newPlanScratch(d))
 }
 
 // BuildPatchGraphLagged constructs G_{p,t} with the given feedback edges
@@ -128,10 +145,71 @@ func BuildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, ang
 // identical to BuildPatchGraph.
 func BuildPatchGraphLagged(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, angle int32, lagged []CellEdge) *PatchGraph {
 	lagIn, lagOut := laggedSets(lagged)
-	return buildPatchGraph(d, p, omega, angle, lagIn, lagOut)
+	return buildPatchGraph(d, p, omega, angle, lagIn, lagOut, newPlanScratch(d))
 }
 
-func buildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, angle int32, lagIn, lagOut map[int64]int32) *PatchGraph {
+// planScratch is the scratch buildPatchGraph derives a stream plan with.
+// One scratch serves any number of builds: each build leaves it as it
+// found it.
+type planScratch struct {
+	// slotOf maps a patch to its slot in the build in progress (first-seen
+	// order, then final order), -1 for a patch that is not a target.
+	slotOf []int32
+	// seen lists the targets in first-seen order, edges their edge counts.
+	seen  []mesh.PatchID
+	edges []int32
+}
+
+func newPlanScratch(d *mesh.Decomposition) *planScratch {
+	ps := &planScratch{slotOf: make([]int32, d.NumPatches())}
+	for i := range ps.slotOf {
+		ps.slotOf[i] = -1
+	}
+	return ps
+}
+
+// plan derives g's stream plan from its filled RemoteAdj: Targets
+// ascending, TargetEdges alongside, every edge stamped with its slot. It
+// walks the remote edges only, a small share of what the two mesh passes
+// of buildPatchGraph visit, and leaves those passes as they were.
+func (ps *planScratch) plan(g *PatchGraph) {
+	for i := range g.RemoteAdj {
+		to := g.RemoteAdj[i].ToPatch
+		slot := ps.slotOf[to]
+		if slot < 0 {
+			slot = int32(len(ps.seen))
+			ps.slotOf[to] = slot
+			ps.seen = append(ps.seen, to)
+			ps.edges = append(ps.edges, 0)
+		}
+		ps.edges[slot]++
+	}
+	k := len(ps.seen)
+	if k == 0 {
+		return
+	}
+	if k > math.MaxUint16+1 {
+		panic(fmt.Sprintf("graph: patch %d has %d downwind patches, more than a RemoteEdge.Slot can number", g.Patch, k))
+	}
+	g.Targets = make([]mesh.PatchID, k)
+	copy(g.Targets, ps.seen)
+	slices.Sort(g.Targets)
+	g.TargetEdges = make([]int32, k)
+	for final, patch := range g.Targets {
+		g.TargetEdges[final] = ps.edges[ps.slotOf[patch]]
+		ps.slotOf[patch] = int32(final)
+	}
+	for i := range g.RemoteAdj {
+		e := &g.RemoteAdj[i]
+		e.Slot = uint16(ps.slotOf[e.ToPatch])
+	}
+	for _, patch := range g.Targets {
+		ps.slotOf[patch] = -1
+	}
+	ps.seen, ps.edges = ps.seen[:0], ps.edges[:0]
+}
+
+func buildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, angle int32, lagIn, lagOut map[int64]int32, plan *planScratch) *PatchGraph {
 	m := d.Mesh
 	cells := d.Cells[p]
 	n := len(cells)
@@ -225,6 +303,7 @@ func buildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, ang
 			}
 		}
 	}
+	plan.plan(g)
 	return g
 }
 
@@ -250,8 +329,9 @@ func BuildAllPatchGraphs(d *mesh.Decomposition, omega geom.Vec3, angle int32) []
 func BuildAllPatchGraphsLagged(d *mesh.Decomposition, omega geom.Vec3, angle int32, lagged []CellEdge) []*PatchGraph {
 	lagIn, lagOut := laggedSets(lagged)
 	out := make([]*PatchGraph, d.NumPatches())
+	plan := newPlanScratch(d)
 	for p := range out {
-		out[p] = buildPatchGraph(d, mesh.PatchID(p), omega, angle, lagIn, lagOut)
+		out[p] = buildPatchGraph(d, mesh.PatchID(p), omega, angle, lagIn, lagOut, plan)
 	}
 	return out
 }

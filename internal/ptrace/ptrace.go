@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"jsweep/internal/comm"
 	"jsweep/internal/core"
 	"jsweep/internal/geom"
 	"jsweep/internal/mesh"
@@ -101,7 +102,9 @@ func Step(m mesh.Mesh, p *Particle) (flown float64, face int) {
 const particleBytes = 4 + 4 + 8*8
 
 func encodeParticles(ps []Particle) []byte {
-	buf := make([]byte, 0, 4+len(ps)*particleBytes)
+	// A fresh pooled buffer per stream: the payload is handed over at
+	// Output, and the receiving program's Input recycles it.
+	buf := comm.GetBuffer(4 + len(ps)*particleBytes)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ps)))
 	for i := range ps {
 		p := &ps[i]
@@ -191,6 +194,8 @@ func (p *Program) Input(s core.Stream) {
 		panic(err)
 	}
 	p.queue = append(p.queue, ps...)
+	// Decoded into ps and ours since the sender's Output: recycle it.
+	comm.PutBuffer(s.Payload)
 }
 
 // Compute implements core.PatchProgram: trace every queued particle until

@@ -165,7 +165,9 @@ func (b *StreamBatcher) Deadline() (t time.Time, ok bool) {
 // Flush encodes the pending streams as one aggregated frame appended to
 // dst, resets the batcher, and returns the extended buffer plus the
 // flushed stream count. With nothing pending it returns dst unchanged and
-// n=0.
+// n=0. The frame holds copies: the flushed payloads — handed over to the
+// runtime at their program's Output — are recycled here, and the shards
+// are cleared so nothing reaches a released buffer through the batcher.
 func (b *StreamBatcher) Flush(dst []byte) (buf []byte, n int) {
 	if b.pendingStreams == 0 {
 		return dst, 0
@@ -173,6 +175,7 @@ func (b *StreamBatcher) Flush(dst []byte) (buf []byte, n int) {
 	n = b.pendingStreams
 	dst = core.EncodeFrame(dst, b.shards)
 	for i := range b.shards {
+		releasePayloads(b.shards[i])
 		b.shards[i] = b.shards[i][:0]
 	}
 	b.pendingStreams = 0

@@ -162,7 +162,11 @@ type Runtime struct {
 	byRank []*process
 	// allLocal is true when every rank is hosted in this OS process.
 	allLocal bool
-	owner    map[core.ProgramKey]int
+	// routes resolves a stream target in one lookup: the owning rank of
+	// every registered program and, for locally hosted ranks, the program's
+	// state in its home process. Written by Register only, i.e. before the
+	// session starts; read-only (and so lock-free) from then on.
+	routes map[core.ProgramKey]route
 
 	// started flips when the first round launches the worker goroutines;
 	// registration closes at that point.
@@ -184,6 +188,13 @@ type Runtime struct {
 	m runtimeMetrics
 }
 
+// route is one entry of the routing table: where a program lives.
+type route struct {
+	rank int
+	// ps is nil when rank is hosted by another OS process.
+	ps *progState
+}
+
 // New creates a runtime.
 func New(cfg Config) (*Runtime, error) {
 	if cfg.Procs < 1 {
@@ -193,9 +204,9 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("runtime: need >= 1 worker per proc (got %d)", cfg.Workers)
 	}
 	rt := &Runtime{
-		cfg:   cfg,
-		owner: make(map[core.ProgramKey]int),
-		m:     newRuntimeMetrics(obs.Default()),
+		cfg:    cfg,
+		routes: make(map[core.ProgramKey]route),
+		m:      newRuntimeMetrics(obs.Default()),
 	}
 	if cfg.Transport != nil {
 		if n := cfg.Transport.NumRanks(); n != cfg.Procs {
@@ -243,7 +254,7 @@ func (rt *Runtime) Register(key core.ProgramKey, prog core.PatchProgram, prio in
 	if rank < 0 || rank >= rt.cfg.Procs {
 		return fmt.Errorf("runtime: program %v placed on invalid rank %d", key, rank)
 	}
-	if _, dup := rt.owner[key]; dup {
+	if _, dup := rt.routes[key]; dup {
 		return fmt.Errorf("runtime: duplicate program %v", key)
 	}
 	if rt.cfg.Termination == Workload {
@@ -251,10 +262,11 @@ func (rt *Runtime) Register(key core.ProgramKey, prog core.PatchProgram, prio in
 			return fmt.Errorf("runtime: program %v does not implement WorkloadReporter; use Safra termination", key)
 		}
 	}
-	rt.owner[key] = rank
+	r := route{rank: rank}
 	if p := rt.byRank[rank]; p != nil {
-		p.register(key, prog, prio)
+		r.ps = p.register(key, prog, prio)
 	}
+	rt.routes[key] = r
 	return nil
 }
 
@@ -434,7 +446,9 @@ type progState struct {
 	index       int // heap index
 }
 
-// workerResult is what a worker hands back to its master per cycle.
+// workerResult is what a worker hands back to its master per cycle. The
+// streams slice is on loan: routeStreams returns it to the process's
+// outsFree list once every stream is routed.
 type workerResult struct {
 	streams []core.Stream
 }
@@ -448,13 +462,15 @@ type process struct {
 	// aggregation is disabled. Only the master goroutine touches them.
 	batchers []*StreamBatcher
 
-	mu    sync.Mutex
-	progs map[core.ProgramKey]*progState
+	mu sync.Mutex
 	// order lists the programs in registration order: every walk over all
 	// programs uses it, so the initial program→worker assignment (and with
-	// it the schedule) does not depend on map iteration order.
+	// it the schedule) is deterministic.
 	order   []*progState
 	workers []*workerQueue
+	// outsFree holds the emptied output slices routeStreams took back from
+	// worker results, for the workers to refill.
+	outsFree [][]core.Stream
 	// activePrograms counts programs in Active state.
 	activePrograms int
 	// busyWorkers counts workers between popping a program and handing
@@ -488,8 +504,11 @@ type process struct {
 	replay []comm.Message
 
 	// perRank is routeStreams' scratch: the remote streams of one call
-	// grouped by destination rank (unbatched path). Master goroutine only.
+	// grouped by destination rank (unbatched path). inbound is
+	// handleMessage's: the streams decoded from one message. Master
+	// goroutine only.
 	perRank [][]core.Stream
+	inbound []core.Stream
 
 	stats Stats
 
@@ -509,7 +528,6 @@ func newProcess(rt *Runtime, rank int) *process {
 		rt:          rt,
 		rank:        rank,
 		ep:          rt.transport.Endpoint(rank),
-		progs:       make(map[core.ProgramKey]*progState),
 		results:     make(chan workerResult, 4096),
 		doneReports: make(map[int]bool),
 		safraColor:  tokenWhite,
@@ -531,11 +549,11 @@ func newProcess(rt *Runtime, rank int) *process {
 	return p
 }
 
-func (p *process) register(key core.ProgramKey, prog core.PatchProgram, prio int64) {
-	ps := &progState{key: key, prog: prog, prio: prio, seq: int64(len(p.progs)), active: true, worker: -1}
-	p.progs[key] = ps
+func (p *process) register(key core.ProgramKey, prog core.PatchProgram, prio int64) *progState {
+	ps := &progState{key: key, prog: prog, prio: prio, seq: int64(len(p.order)), active: true, worker: -1}
 	p.order = append(p.order, ps)
 	p.activePrograms++
+	return ps
 }
 
 // startWorkers launches the persistent worker goroutines. Called once per
@@ -812,7 +830,8 @@ func (p *process) lightestWorker() *workerQueue {
 // routeStreams routes worker-produced streams: local targets are delivered
 // directly; remote targets go straight into the destination's batcher
 // (aggregating path) or are grouped per rank and sent immediately, in
-// ascending rank order.
+// ascending rank order. The streams slice itself is a worker's on loan: it
+// goes back to outsFree, emptied, once every stream has been routed.
 func (p *process) routeStreams(streams []core.Stream) error {
 	if len(streams) == 0 {
 		return nil
@@ -824,25 +843,27 @@ func (p *process) routeStreams(streams []core.Stream) error {
 		defer p.dropPerRank()
 	}
 	p.mu.Lock()
-	for _, s := range streams {
-		tgt := s.Tgt()
-		rank, ok := p.rt.owner[tgt]
+	for i := range streams {
+		s := &streams[i]
+		r, ok := p.rt.routes[s.Tgt()]
 		if !ok {
 			p.mu.Unlock()
-			return fmt.Errorf("runtime: stream %v -> %v targets unregistered program", s.Src(), tgt)
+			return fmt.Errorf("runtime: stream %v -> %v targets unregistered program", s.Src(), s.Tgt())
 		}
-		if rank == p.rank {
+		if r.rank == p.rank {
 			p.stats.LocalStreams++
-			p.deliverLocked(s)
+			p.deliverLocked(r.ps, *s)
 			continue
 		}
 		p.stats.RemoteStreams++
 		if p.batchers != nil {
-			p.batchers[rank].Add(now, s)
+			p.batchers[r.rank].Add(now, *s)
 			continue
 		}
-		p.perRank[rank] = append(p.perRank[rank], s)
+		p.perRank[r.rank] = append(p.perRank[r.rank], *s)
 	}
+	clear(streams)
+	p.outsFree = append(p.outsFree, streams[:0])
 	p.mu.Unlock()
 	if p.batchers != nil {
 		// Flush outside the lock: a batch may overshoot its trigger by the
@@ -867,6 +888,9 @@ func (p *process) routeStreams(streams []core.Stream) error {
 		buf := comm.GetBuffer(core.EncodedSize(batch) + msgHeaderSize)[:msgHeaderSize]
 		stampHeader(buf, msgStreams, p.round)
 		buf = core.EncodeStreams(buf, batch)
+		// The payloads are copied into the message: they were handed over at
+		// Output and nobody else holds them, so the remote route ends here.
+		releasePayloads(batch)
 		p.stats.PackTime += time.Since(t0)
 		p.stats.BytesSent += int64(len(buf))
 		p.stats.Messages++
@@ -876,6 +900,16 @@ func (p *process) routeStreams(streams []core.Stream) error {
 		}
 	}
 	return nil
+}
+
+// releasePayloads recycles the payloads of streams that have been packed
+// into a message and clears the entries, so a released buffer cannot be
+// reached (let alone released again) through the slice.
+func releasePayloads(streams []core.Stream) {
+	for i := range streams {
+		comm.PutBuffer(streams[i].Payload)
+		streams[i] = core.Stream{}
+	}
 }
 
 // dropPerRank empties the routing scratch on every way out of
@@ -955,25 +989,26 @@ func (p *process) pendingBatched() int {
 	return n
 }
 
-// deliverRemote validates and delivers streams received from another
-// rank (Safra bookkeeping is per message and stays with the caller).
+// deliverRemote validates and delivers the streams decoded from one
+// inbound message (Safra bookkeeping is per message and stays with the
+// caller).
 func (p *process) deliverRemote(streams []core.Stream) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, s := range streams {
-		if _, ok := p.progs[s.Tgt()]; !ok {
-			return fmt.Errorf("runtime: rank %d received stream for foreign program %v", p.rank, s.Tgt())
+	for i := range streams {
+		r, ok := p.rt.routes[streams[i].Tgt()]
+		if !ok || r.rank != p.rank {
+			return fmt.Errorf("runtime: rank %d received stream for foreign program %v", p.rank, streams[i].Tgt())
 		}
 		p.stats.LocalStreams++
-		p.deliverLocked(s)
+		p.deliverLocked(r.ps, streams[i])
 	}
 	return nil
 }
 
 // deliverLocked appends a stream to its target program's inbox and
 // activates/queues it. Caller holds p.mu.
-func (p *process) deliverLocked(s core.Stream) {
-	ps := p.progs[s.Tgt()]
+func (p *process) deliverLocked(ps *progState, s core.Stream) {
 	ps.inbox = append(ps.inbox, s)
 	if !ps.active {
 		ps.active = true
@@ -1009,7 +1044,7 @@ func (p *process) handleMessage(m comm.Message) (stop bool, err error) {
 		return false, nil
 	}
 	// Every path below consumes the message: recycle its transport buffer
-	// once decoded (DecodeStreams/DecodeFrame copy payloads out). Stashed
+	// once decoded (the decoders copy payloads out). Stashed
 	// future messages recycle when their round consumes them here.
 	defer comm.PutBuffer(m.Data)
 	if round < p.round {
@@ -1017,30 +1052,26 @@ func (p *process) handleMessage(m comm.Message) (stop bool, err error) {
 			p.rank, round, m.From, p.round)
 	}
 	switch kind {
-	case msgStreams:
+	case msgStreams, msgFrame:
+		// Decode into the master's own scratch; the payloads are pooled
+		// copies their target programs release. The scratch must not pin
+		// them past delivery.
 		t0 := time.Now()
-		streams, derr := core.DecodeStreams(body)
+		decode := core.AppendDecodedStreams
+		if kind == msgFrame {
+			decode = core.AppendDecodedFrame
+		}
+		streams, derr := decode(p.inbound[:0], body)
 		p.stats.UnpackTime += time.Since(t0)
 		if derr != nil {
 			return false, derr
 		}
 		p.safraCounter--
 		p.safraColor = tokenBlack
-		return false, p.deliverRemote(streams)
-	case msgFrame:
-		t0 := time.Now()
-		shards, derr := core.DecodeFrame(body)
-		p.stats.UnpackTime += time.Since(t0)
-		if derr != nil {
-			return false, derr
-		}
-		p.safraCounter--
-		p.safraColor = tokenBlack
-		for _, sh := range shards {
-			if err := p.deliverRemote(sh); err != nil {
-				return false, err
-			}
-		}
+		derr = p.deliverRemote(streams)
+		clear(streams)
+		p.inbound = streams[:0]
+		return false, derr
 	case msgDone:
 		if p.rank != 0 {
 			return false, fmt.Errorf("runtime: done report reached rank %d", p.rank)
@@ -1064,7 +1095,7 @@ func (p *process) handleMessage(m comm.Message) (stop bool, err error) {
 // passive reports whether this process has no runnable work: all programs
 // inactive, no worker mid-cycle, no undrained results.
 func (p *process) passive() bool {
-	if len(p.results) > 0 || p.ep.Pending() > 0 {
+	if p.ep.Pending() > 0 {
 		return false
 	}
 	// Streams waiting in outbound batchers are in-flight work: they must
@@ -1073,16 +1104,16 @@ func (p *process) passive() bool {
 		return false
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.activePrograms > 0 || p.busyWorkers > 0 {
-		return false
-	}
+	idle := p.activePrograms == 0 && p.busyWorkers == 0
 	for _, w := range p.workers {
-		if w.load > 0 {
-			return false
-		}
+		idle = idle && w.load == 0
 	}
-	return true
+	p.mu.Unlock()
+	// The results channel is read only after the workers were seen idle: a
+	// worker hands its result over before it stops counting as busy, so
+	// checking the channel first would miss a result sent in between and
+	// declare a process passive with streams still to route.
+	return idle && len(p.results) == 0
 }
 
 // checkTermination runs the configured detector; returns true when the
@@ -1186,6 +1217,10 @@ func (p *process) sendToken(to int, color byte, count int64) {
 // program, run one Alg. 1 cycle, hand produced streams to the master.
 func (p *process) workerLoop(w *workerQueue) {
 	defer p.wg.Done()
+	// outs collects one cycle's output streams. A cycle that produced some
+	// lends the slice to the master (routeStreams returns it, emptied, to
+	// outsFree) and the next cycle picks up a returned one.
+	var outs []core.Stream
 	for {
 		p.mu.Lock()
 		for w.heap.Len() == 0 && !p.shutdown {
@@ -1194,6 +1229,10 @@ func (p *process) workerLoop(w *workerQueue) {
 		if p.shutdown {
 			p.mu.Unlock()
 			return
+		}
+		if n := len(p.outsFree); outs == nil && n > 0 {
+			outs, p.outsFree[n-1] = p.outsFree[n-1], nil
+			p.outsFree = p.outsFree[:n-1]
 		}
 		ps := w.heap.pop()
 		ps.queued = false
@@ -1215,7 +1254,6 @@ func (p *process) workerLoop(w *workerQueue) {
 			ps.prog.Input(s)
 		}
 		ps.prog.Compute()
-		var outs []core.Stream
 		for {
 			s, ok := ps.prog.Output()
 			if !ok {
@@ -1250,6 +1288,7 @@ func (p *process) workerLoop(w *workerQueue) {
 
 		if len(outs) > 0 {
 			p.results <- workerResult{streams: outs}
+			outs = nil
 		}
 		p.mu.Lock()
 		p.busyWorkers--

@@ -150,8 +150,8 @@ func TestResetClearsDetectorState(t *testing.T) {
 		if len(p.doneReports) != 0 || p.sentDone {
 			t.Errorf("rank %d: stale workload state after Reset", r)
 		}
-		if p.activePrograms != len(p.progs) {
-			t.Errorf("rank %d: %d of %d programs active after Reset", r, p.activePrograms, len(p.progs))
+		if p.activePrograms != len(p.order) {
+			t.Errorf("rank %d: %d of %d programs active after Reset", r, p.activePrograms, len(p.order))
 		}
 	}
 

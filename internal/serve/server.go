@@ -433,13 +433,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.running++
 	s.busy += slots
 	s.mu.Unlock()
-	defer func() {
+	release := sync.OnceFunc(func() {
 		s.mu.Lock()
 		s.running--
 		s.busy -= slots
 		s.mu.Unlock()
 		s.sem.release()
-	}()
+	})
+	defer release()
 
 	// Per-job timeout: min(submitted, server cap), counted from the
 	// grant — queue wait does not eat the job's budget.
@@ -472,6 +473,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		s.metrics.jobFailedH.Observe(time.Since(t0).Seconds())
 		s.trace.Emit(obs.Event{Name: "job.error", ID: job, Dur: time.Since(t0), Detail: err.Error()})
+		release() // settled before the submitter hears of it, as on success
 		w.jobError(fmt.Errorf("%s: %w", job, err))
 		s.logf("%s failed after %v: %v", job, time.Since(t0).Round(time.Millisecond), err)
 		return
@@ -481,12 +483,17 @@ func (s *Server) handleConn(conn net.Conn) {
 		w.jobError(fmt.Errorf("%s: encode result: %w", job, err))
 		return
 	}
+	// Record the outcome and return the slot before the result frame goes
+	// out: a submitter holding its result must find the daemon's counters
+	// settled, not a moment behind (the warm node went back to the pool
+	// when the run returned).
+	s.metrics.jobOK.Observe(time.Since(t0).Seconds())
+	s.trace.Emit(obs.Event{Name: "job.result", ID: job, Dur: time.Since(t0), Detail: nr.FluxHash})
+	release()
 	if err := w.write(netcomm.KindResult, frame); err != nil {
 		// The job is solved either way; the submitter just won't see it.
 		s.logf("%s result frame write failed: %v", job, err)
 	}
-	s.metrics.jobOK.Observe(time.Since(t0).Seconds())
-	s.trace.Emit(obs.Event{Name: "job.result", ID: job, Dur: time.Since(t0), Detail: nr.FluxHash})
 	s.logf("%s done in %v (hash=%s warm=%d)", job, time.Since(t0).Round(time.Millisecond), nr.FluxHash, s.pool.size())
 }
 

@@ -1,8 +1,10 @@
 package sweep
 
 import (
-	"sort"
+	"encoding/binary"
+	"fmt"
 
+	"jsweep/internal/comm"
 	"jsweep/internal/core"
 	"jsweep/internal/graph"
 	"jsweep/internal/quadrature"
@@ -22,10 +24,8 @@ type CoarseProgram struct {
 	cg   *graph.CoarseGraph
 	// cvs lists this program's coarse vertex ids (cluster order).
 	cvs []int32
-	// cvLocal maps a global coarse id to its index in cvs.
-	cvLocal map[int32]int32
-	dir     quadrature.Direction
-	q       [][]float64
+	dir quadrature.Direction
+	q   [][]float64
 
 	counts []int32 // per local coarse vertex
 	// ready holds ready local coarse indices (FIFO), consumed through the
@@ -44,18 +44,12 @@ type CoarseProgram struct {
 	remaining int64
 
 	// lag is the shared lagged-flux store breaking cyclic dependencies
-	// (nil on acyclic meshes); lagOutBy indexes the fine graph's LagOut
-	// entries by local vertex.
-	lag      *LagStore
-	lagOutBy map[int32][]graph.LagOut
+	// (nil on acyclic meshes); lagOutStart indexes the fine graph's LagOut
+	// entries by local vertex (CSR, nil without lagged out-edges).
+	lag         *LagStore
+	lagOutStart []int32
 
-	qCell, psiOut, psiBar, psiScratch []float64
-	// outArena backs per-Compute remote-edge flux copies; fluxScratch the
-	// per-coarse-edge record list; bufs the payload-buffer freelist. All
-	// reused across calls and rounds.
-	outArena    []float64
-	fluxScratch []faceFlux
-	bufs        bufStack
+	qCell, psiOut, psiBar []float64
 
 	computeCalls int64
 }
@@ -78,21 +72,16 @@ type CoarseConfig struct {
 
 // NewCoarseProgram builds a coarse sweep program.
 func NewCoarseProgram(cfg CoarseConfig) *CoarseProgram {
-	p := &CoarseProgram{
-		Key:     core.ProgramKey{Patch: cfg.Graph.Patch, Task: core.TaskTag(cfg.Graph.Angle)},
-		prob:    cfg.Prob,
-		g:       cfg.Graph,
-		cg:      cfg.CG,
-		cvs:     cfg.CVs,
-		dir:     cfg.Dir,
-		q:       cfg.Q,
-		lag:     cfg.Lag,
-		cvLocal: make(map[int32]int32, len(cfg.CVs)),
+	return &CoarseProgram{
+		Key:  core.ProgramKey{Patch: cfg.Graph.Patch, Task: core.TaskTag(cfg.Graph.Angle)},
+		prob: cfg.Prob,
+		g:    cfg.Graph,
+		cg:   cfg.CG,
+		cvs:  cfg.CVs,
+		dir:  cfg.Dir,
+		q:    cfg.Q,
+		lag:  cfg.Lag,
 	}
-	for i, cv := range cfg.CVs {
-		p.cvLocal[cv] = int32(i)
-	}
-	return p
 }
 
 // PhiLocal exposes the accumulated w·ψ̄ [group][local fine vertex].
@@ -136,13 +125,7 @@ func (p *CoarseProgram) ensure() {
 	p.qCell = make([]float64, G)
 	p.psiOut = make([]float64, mf*G)
 	p.psiBar = make([]float64, G)
-	p.psiScratch = make([]float64, G)
-	if len(p.g.LagOut) > 0 {
-		p.lagOutBy = make(map[int32][]graph.LagOut, len(p.g.LagOut))
-		for _, lo := range p.g.LagOut {
-			p.lagOutBy[lo.V] = append(p.lagOutBy[lo.V], lo)
-		}
-	}
+	p.lagOutStart = lagOutStarts(p.g)
 }
 
 // resetState restores the just-initialized state, reusing the buffers.
@@ -168,6 +151,7 @@ func (p *CoarseProgram) resetState() {
 	clear(p.pending)
 	p.pending = p.pending[:0]
 	p.pendingHead = 0
+	// Source coarse vertices start ready, in ascending local index.
 	p.ready = p.ready[:0]
 	p.readyHead = 0
 	for i, cv := range p.cvs {
@@ -176,7 +160,6 @@ func (p *CoarseProgram) resetState() {
 			p.ready = append(p.ready, int32(i))
 		}
 	}
-	sort.Slice(p.ready, func(a, b int) bool { return p.ready[a] < p.ready[b] })
 }
 
 // Input implements core.PatchProgram: one stream = one incoming coarse
@@ -184,17 +167,24 @@ func (p *CoarseProgram) resetState() {
 func (p *CoarseProgram) Input(s core.Stream) {
 	G := p.prob.Groups
 	mf := p.prob.MaxFaces()
-	cvLocal, err := decodeCoarsePayload(s.Payload, G, p.psiScratch, func(v int32, face int8, psi []float64) {
-		base := (int(v)*mf + int(face)) * G
-		copy(p.psiFace[base:base+G], psi)
-	})
+	buf := s.Payload
+	if len(buf) < coarseHeaderBytes {
+		panic(fmt.Errorf("sweep: coarse payload truncated"))
+	}
+	li := int32(binary.LittleEndian.Uint32(buf)) // our local coarse index
+	count, err := fluxRecordCount(buf[coarseHeaderBytes:], G)
 	if err != nil {
 		panic(err)
 	}
-	p.bufs.put(s.Payload)
-	p.counts[cvLocal]--
-	if p.counts[cvLocal] == 0 {
-		p.ready = append(p.ready, cvLocal)
+	rec := faceFluxRecordBytes(G)
+	for off := coarseHeaderBytes + 4; count > 0; count, off = count-1, off+rec {
+		scatterFaceFlux(buf[off:off+rec], G, mf, p.psiFace)
+	}
+	// Fully decoded, and ours since the producer's Output: recycle it.
+	comm.PutBuffer(buf)
+	p.counts[li]--
+	if p.counts[li] == 0 {
+		p.ready = append(p.ready, li)
 	}
 }
 
@@ -204,9 +194,6 @@ func (p *CoarseProgram) Compute() {
 	G := p.prob.Groups
 	mf := p.prob.MaxFaces()
 	w := p.dir.Weight
-	// Remote-edge flux copies of this Compute live in the arena; they are
-	// encoded into payloads before the call returns.
-	p.outArena = p.outArena[:0]
 	for p.readyHead < len(p.ready) {
 		ci := p.ready[p.readyHead]
 		p.readyHead++
@@ -224,8 +211,8 @@ func (p *CoarseProgram) Compute() {
 			}
 			copy(p.outBuf[base:base+mf*G], p.psiOut[:mf*G])
 			// Lagged downwind edges: store the flux for the next sweep.
-			if p.lagOutBy != nil {
-				for _, lo := range p.lagOutBy[v] {
+			if p.lagOutStart != nil {
+				for _, lo := range p.g.LagOut[p.lagOutStart[v]:p.lagOutStart[v+1]] {
 					p.lag.StoreNew(p.g.Angle, lo.Idx, p.psiOut[int(lo.SrcFace)*G:int(lo.SrcFace)*G+G])
 				}
 			}
@@ -241,31 +228,29 @@ func (p *CoarseProgram) Compute() {
 		// Coarse out-edges.
 		tos, unders := p.cg.Edges(cv)
 		for i, to := range tos {
-			if li, mine := p.cvLocal[to]; mine {
+			if p.cg.Patch[to] == p.Key.Patch && p.cg.Angle[to] == p.g.Angle {
+				// Mine: the receiver indexes counts by its local coarse index.
+				li := p.cg.LocalIndex(to)
 				p.counts[li]--
 				if p.counts[li] == 0 {
 					p.ready = append(p.ready, li)
 				}
 				continue
 			}
-			// Remote coarse edge: pack P(ce) fluxes from outBuf via the
-			// reused scratch list and arena.
-			fluxes := p.fluxScratch[:0]
-			for _, ue := range unders[i] {
+			// Remote coarse edge: encode P(ce)'s fluxes straight from outBuf
+			// into an exactly sized payload.
+			under := unders[i]
+			buf := comm.GetBuffer(coarseHeaderBytes + StreamPayloadBytes(len(under), G))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(p.cg.LocalIndex(to)))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(under)))
+			for _, ue := range under {
 				src := (int(ue.SrcV)*mf + int(ue.SrcFace)) * G
-				base := len(p.outArena)
-				p.outArena = append(p.outArena, p.outBuf[src:src+G]...)
-				fluxes = append(fluxes, faceFlux{v: ue.DstV, face: ue.DstFace, psi: p.outArena[base : base+G : base+G]})
+				buf = appendFaceFlux(buf, ue.DstV, ue.DstFace, p.outBuf[src:src+G])
 			}
-			p.fluxScratch = fluxes
-			// The receiver indexes counts by its local coarse index.
-			tgtPatch := p.cg.Patch[to]
-			tgtAngle := p.cg.Angle[to]
-			buf := p.bufs.get(4 + StreamPayloadBytes(len(fluxes), G))
 			p.pending = append(p.pending, core.Stream{
 				SrcPatch: p.Key.Patch, SrcTask: p.Key.Task,
-				TgtPatch: tgtPatch, TgtTask: core.TaskTag(tgtAngle),
-				Payload: encodeCoarsePayload(buf, p.cg.LocalIndex(to), G, fluxes),
+				TgtPatch: p.cg.Patch[to], TgtTask: core.TaskTag(p.cg.Angle[to]),
+				Payload: buf,
 			})
 		}
 	}
@@ -273,7 +258,8 @@ func (p *CoarseProgram) Compute() {
 	p.readyHead = 0
 }
 
-// Output implements core.PatchProgram.
+// Output implements core.PatchProgram; the payload is handed over with the
+// stream.
 func (p *CoarseProgram) Output() (core.Stream, bool) {
 	if p.pendingHead >= len(p.pending) {
 		p.pending = p.pending[:0]

@@ -84,3 +84,21 @@ func (ls *LagStore) StoreNew(a int32, idx int32, psi []float64) {
 	base := (int(ls.offs[a]) + int(idx)) * ls.groups
 	copy(ls.new[base:base+ls.groups], psi)
 }
+
+// lagOutStarts indexes g.LagOut by local vertex, CSR style: vertex v's
+// lagged out-edges are g.LagOut[starts[v]:starts[v+1]]. The list is built
+// in ascending vertex order, so counting suffices. Nil when g has no lagged
+// out-edges (every acyclic mesh).
+func lagOutStarts(g *graph.PatchGraph) []int32 {
+	if len(g.LagOut) == 0 {
+		return nil
+	}
+	starts := make([]int32, g.NumVertices()+1)
+	for _, lo := range g.LagOut {
+		starts[lo.V+1]++
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		starts[v+1] += starts[v]
+	}
+	return starts
+}

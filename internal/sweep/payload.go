@@ -27,65 +27,48 @@ func StreamPayloadBytes(records, groups int) int {
 	return 4 + records*faceFluxRecordBytes(groups)
 }
 
-type faceFlux struct {
-	v    int32
-	face int8
-	psi  []float64
-}
-
-// encodeFaceFluxes appends the packed records to dst (which may come from
-// the payload pool) and returns the extended buffer.
-func encodeFaceFluxes(dst []byte, groups int, fluxes []faceFlux) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fluxes)))
-	for i := range fluxes {
-		f := &fluxes[i]
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.v))
-		dst = append(dst, byte(f.face))
-		for g := 0; g < groups; g++ {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f.psi[g]))
-		}
+// appendFaceFlux appends one record — destination vertex, destination face,
+// psi[0:G] — to an in-progress payload. Programs call it at the edge, so a
+// flux goes from the kernel's output straight into the bytes that travel.
+func appendFaceFlux(dst []byte, v int32, face int8, psi []float64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	dst = append(dst, byte(face))
+	for _, x := range psi {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}
 	return dst
 }
 
-// decodeFaceFluxes streams the records to sink (avoiding per-record slice
-// allocation); psiScratch must have length >= groups.
-func decodeFaceFluxes(buf []byte, groups int, psiScratch []float64, sink func(v int32, face int8, psi []float64)) error {
+// fluxRecordCount validates the framing of a fine payload (or of the record
+// part of a coarse one) and returns its record count.
+func fluxRecordCount(buf []byte, groups int) (int, error) {
 	if len(buf) < 4 {
-		return fmt.Errorf("sweep: flux payload truncated")
+		return 0, fmt.Errorf("sweep: flux payload truncated")
 	}
 	count := binary.LittleEndian.Uint32(buf)
-	off := 4
-	rec := 5 + 8*groups
-	if len(buf)-off != int(count)*rec {
-		return fmt.Errorf("sweep: flux payload size %d != %d records of %d bytes", len(buf)-off, count, rec)
+	rec := faceFluxRecordBytes(groups)
+	if len(buf)-4 != int(count)*rec {
+		return 0, fmt.Errorf("sweep: flux payload size %d != %d records of %d bytes", len(buf)-4, count, rec)
 	}
-	for i := uint32(0); i < count; i++ {
-		v := int32(binary.LittleEndian.Uint32(buf[off:]))
-		face := int8(buf[off+4])
-		off += 5
-		for g := 0; g < groups; g++ {
-			psiScratch[g] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		sink(v, face, psiScratch[:groups])
+	return int(count), nil
+}
+
+// scatterFaceFlux decodes the record at the head of rec into its slot of
+// psiFace ([v*maxFaces*G + face*G + g]) and returns the destination vertex.
+func scatterFaceFlux(rec []byte, groups, maxFaces int, psiFace []float64) int32 {
+	v := int32(binary.LittleEndian.Uint32(rec))
+	base := (int(v)*maxFaces + int(int8(rec[4]))) * groups
+	dst := psiFace[base : base+groups]
+	rec = rec[5:]
+	for g := range dst {
+		dst[g] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*g:]))
 	}
-	return nil
+	return v
 }
 
 // Coarse-sweep stream payload: one coarse edge worth of face fluxes plus
-// the target coarse vertex whose in-count it satisfies.
+// the target coarse vertex whose in-count it satisfies, as its index in the
+// receiving program's coarse-vertex list.
 //
-//	payload := cvLocal:u32 fineFluxes
-func encodeCoarsePayload(dst []byte, cvLocal int32, groups int, fluxes []faceFlux) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(cvLocal))
-	return encodeFaceFluxes(dst, groups, fluxes)
-}
-
-func decodeCoarsePayload(buf []byte, groups int, psiScratch []float64, sink func(v int32, face int8, psi []float64)) (cvLocal int32, err error) {
-	if len(buf) < 4 {
-		return 0, fmt.Errorf("sweep: coarse payload truncated")
-	}
-	cvLocal = int32(binary.LittleEndian.Uint32(buf))
-	return cvLocal, decodeFaceFluxes(buf[4:], groups, psiScratch, sink)
-}
+//	payload := localIndex:u32 fineFluxes
+const coarseHeaderBytes = 4

@@ -1,8 +1,9 @@
 package sweep
 
 import (
-	"sort"
+	"encoding/binary"
 
+	"jsweep/internal/comm"
 	"jsweep/internal/core"
 	"jsweep/internal/graph"
 	"jsweep/internal/quadrature"
@@ -36,23 +37,17 @@ type Program struct {
 	// phiLocal accumulates w·ψ̄ per [group][local vertex]; the solver
 	// reduces programs in angle order, keeping results bit-reproducible.
 	phiLocal [][]float64
-	// outstreams aggregates boundary fluxes per target program (Listing 1
-	// line 8); entries are retained across Compute calls with their
-	// backing arrays (outPending counts the fluxes awaiting flush).
-	// pending holds encoded streams awaiting Output, consumed through the
-	// pendingHead cursor so the backing array is reusable.
-	outstreams  map[core.ProgramKey][]faceFlux
+	// out aggregates boundary fluxes per target program (Listing 1 line 8):
+	// one in-progress payload per stream-plan slot (graph.PatchGraph.Targets),
+	// records encoded in place at the edge; outPending counts the records
+	// awaiting flush. pending holds finished streams awaiting Output,
+	// consumed through the pendingHead cursor so the backing array is
+	// reusable.
+	out         []outSlot
 	outPending  int
 	pending     []core.Stream
 	pendingHead int
 	remaining   int64
-
-	// outArena backs the per-Compute remote-edge flux copies; keyScratch
-	// backs flushOutstreams' sorted key list; bufs is the payload-buffer
-	// freelist. All are reused across calls and rounds.
-	outArena   []float64
-	keyScratch []core.ProgramKey
-	bufs       bufStack
 
 	// recordClusters makes Compute record each vertex batch for graph
 	// coarsening (§V-E).
@@ -60,17 +55,29 @@ type Program struct {
 	clusters       [][]int32
 
 	// lag is the shared lagged-flux store breaking cyclic dependencies
-	// (nil on acyclic meshes); lagOutBy indexes the graph's LagOut entries
-	// by local vertex for the Compute hot path.
-	lag      *LagStore
-	lagOutBy map[int32][]graph.LagOut
+	// (nil on acyclic meshes); lagOutStart indexes the graph's LagOut
+	// entries by local vertex (CSR, nil without lagged out-edges) for the
+	// Compute hot path.
+	lag         *LagStore
+	lagOutStart []int32
 
 	// scratch buffers reused across vertices.
-	qCell, psiOut, psiBar, psiScratch []float64
+	qCell, psiOut, psiBar []float64
 
 	// stats
 	computeCalls int64
 	solvedBatch  int64
+}
+
+// outSlot is the outgoing payload of one stream-plan slot while a Compute
+// builds it: the count word (patched at flush) followed by n records. buf is
+// nil between flushes; it comes from comm.GetBuffer sized for the most
+// records the slot can ever see in one Compute, so appends never regrow it.
+type outSlot struct {
+	buf []byte
+	n   uint32
+	// size is that worst-case payload size in bytes.
+	size int
 }
 
 // ProgramConfig bundles the immutable inputs of a sweep program.
@@ -158,18 +165,23 @@ func (p *Program) ensure() {
 	for g := range p.phiLocal {
 		p.phiLocal[g] = make([]float64, n)
 	}
-	p.outstreams = make(map[core.ProgramKey][]faceFlux)
+	p.out = newOutSlots(p.g, p.grain*mf, G)
 	p.qCell = make([]float64, G)
 	p.psiOut = make([]float64, mf*G)
 	p.psiBar = make([]float64, G)
-	p.psiScratch = make([]float64, G)
 	p.ready = vertexQueue{prio: p.prio}
-	if len(p.g.LagOut) > 0 {
-		p.lagOutBy = make(map[int32][]graph.LagOut, len(p.g.LagOut))
-		for _, lo := range p.g.LagOut {
-			p.lagOutBy[lo.V] = append(p.lagOutBy[lo.V], lo)
-		}
+	p.lagOutStart = lagOutStarts(p.g)
+}
+
+// newOutSlots sizes one outSlot per stream-plan target of g: a slot sees at
+// most one record per remote edge into its patch over a whole sweep, and at
+// most perCompute records in one Compute.
+func newOutSlots(g *graph.PatchGraph, perCompute, groups int) []outSlot {
+	out := make([]outSlot, len(g.Targets))
+	for i := range out {
+		out[i].size = StreamPayloadBytes(min(int(g.TargetEdges[i]), perCompute), groups)
 	}
+	return out
 }
 
 // resetState restores the just-initialized state, reusing the buffers.
@@ -192,8 +204,8 @@ func (p *Program) resetState() {
 	for g := range p.phiLocal {
 		clear(p.phiLocal[g])
 	}
-	for k, fl := range p.outstreams {
-		p.outstreams[k] = fl[:0]
+	for i := range p.out {
+		p.out[i].buf, p.out[i].n = nil, 0
 	}
 	p.outPending = 0
 	clear(p.pending)
@@ -216,21 +228,24 @@ func (p *Program) resetState() {
 func (p *Program) Input(s core.Stream) {
 	G := p.prob.Groups
 	mf := p.prob.MaxFaces()
-	err := decodeFaceFluxes(s.Payload, G, p.psiScratch, func(v int32, face int8, psi []float64) {
-		base := (int(v)*mf + int(face)) * G
-		copy(p.psiFace[base:base+G], psi)
-		p.counts[v]--
-		if p.counts[v] == 0 {
-			p.ready.push(v)
-		}
-	})
+	buf := s.Payload
+	count, err := fluxRecordCount(buf, G)
 	if err != nil {
 		// A malformed payload is a programming error in this closed
 		// system; surface loudly.
 		panic(err)
 	}
-	// The payload is fully decoded and exclusively ours: recycle it.
-	p.bufs.put(s.Payload)
+	rec := faceFluxRecordBytes(G)
+	for off := 4; count > 0; count, off = count-1, off+rec {
+		v := scatterFaceFlux(buf[off:off+rec], G, mf, p.psiFace)
+		p.counts[v]--
+		if p.counts[v] == 0 {
+			p.ready.push(v)
+		}
+	}
+	// The payload is fully decoded and was handed to us at the producer's
+	// Output: recycle it.
+	comm.PutBuffer(buf)
 }
 
 // Compute implements core.PatchProgram (Listing 1 compute): dequeue up to
@@ -243,9 +258,6 @@ func (p *Program) Compute() {
 	G := p.prob.Groups
 	mf := p.prob.MaxFaces()
 	w := p.dir.Weight
-	// Remote-edge flux copies of this Compute live in the arena; they are
-	// consumed by flushOutstreams before the call returns.
-	p.outArena = p.outArena[:0]
 	var batch []int32
 	if p.recordClusters {
 		batch = make([]int32, 0, p.grain)
@@ -266,8 +278,8 @@ func (p *Program) Compute() {
 		}
 		// Lagged downwind edges: store the flux for the next sweep instead
 		// of propagating it now.
-		if p.lagOutBy != nil {
-			for _, lo := range p.lagOutBy[v] {
+		if p.lagOutStart != nil {
+			for _, lo := range p.g.LagOut[p.lagOutStart[v]:p.lagOutStart[v+1]] {
 				p.lag.StoreNew(p.g.Angle, lo.Idx, p.psiOut[int(lo.SrcFace)*G:int(lo.SrcFace)*G+G])
 			}
 		}
@@ -282,15 +294,16 @@ func (p *Program) Compute() {
 				p.ready.push(e.To)
 			}
 		}
-		// Remote downwind edges: aggregate per target program (§V-C). The
-		// flux copy lives in the arena; growth relocation is harmless
-		// because handed-out chunks keep their old backing.
+		// Remote downwind edges: aggregate per target program (§V-C),
+		// encoding the record straight into the target slot's payload.
 		for _, e := range p.g.RemoteEdges(v) {
-			key := core.ProgramKey{Patch: e.ToPatch, Task: p.Key.Task}
-			base := len(p.outArena)
-			p.outArena = append(p.outArena, p.psiOut[int(e.SrcFace)*G:int(e.SrcFace)*G+G]...)
-			psi := p.outArena[base : base+G : base+G]
-			p.outstreams[key] = append(p.outstreams[key], faceFlux{v: e.To, face: e.Face, psi: psi})
+			sl := &p.out[e.Slot]
+			if sl.buf == nil {
+				sl.buf = comm.GetBuffer(sl.size)[:4]
+			}
+			src := int(e.SrcFace) * G
+			sl.buf = appendFaceFlux(sl.buf, e.To, e.Face, p.psiOut[src:src+G])
+			sl.n++
 			p.outPending++
 		}
 		p.remaining--
@@ -302,41 +315,31 @@ func (p *Program) Compute() {
 	p.flushOutstreams()
 }
 
-// flushOutstreams converts aggregated fluxes into pending streams, one per
-// target program, in deterministic key order. Map entries keep their
-// backing arrays for the next Compute.
+// flushOutstreams turns the slots' payloads into pending streams, one per
+// target program, walking the stream plan in order: ascending target patch,
+// this program's task — the deterministic stream order of one Compute.
 func (p *Program) flushOutstreams() {
 	if p.outPending == 0 {
 		return
 	}
-	keys := p.keyScratch[:0]
-	for k, fl := range p.outstreams {
-		if len(fl) > 0 {
-			keys = append(keys, k)
+	for i := range p.out {
+		sl := &p.out[i]
+		if sl.n == 0 {
+			continue
 		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Patch != keys[j].Patch {
-			return keys[i].Patch < keys[j].Patch
-		}
-		return keys[i].Task < keys[j].Task
-	})
-	G := p.prob.Groups
-	for _, k := range keys {
-		fl := p.outstreams[k]
-		buf := p.bufs.get(StreamPayloadBytes(len(fl), G))
+		binary.LittleEndian.PutUint32(sl.buf, sl.n)
 		p.pending = append(p.pending, core.Stream{
 			SrcPatch: p.Key.Patch, SrcTask: p.Key.Task,
-			TgtPatch: k.Patch, TgtTask: k.Task,
-			Payload: encodeFaceFluxes(buf, G, fl),
+			TgtPatch: p.g.Targets[i], TgtTask: p.Key.Task,
+			Payload: sl.buf,
 		})
-		p.outstreams[k] = fl[:0]
+		sl.buf, sl.n = nil, 0
 	}
 	p.outPending = 0
-	p.keyScratch = keys
 }
 
-// Output implements core.PatchProgram (Listing 1 output).
+// Output implements core.PatchProgram (Listing 1 output). The payload is
+// handed over with the stream: the program keeps no reference to it.
 func (p *Program) Output() (core.Stream, bool) {
 	if p.pendingHead >= len(p.pending) {
 		p.pending = p.pending[:0]

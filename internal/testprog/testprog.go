@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"sync"
 
+	"jsweep/internal/comm"
 	"jsweep/internal/core"
 	"jsweep/internal/mesh"
 )
@@ -44,13 +45,18 @@ func (r *Results) Len() int {
 	return len(r.m)
 }
 
+// payload encodes v into a fresh pooled buffer — one per stream, never
+// shared: a payload is handed over at Output (core.PatchProgram).
 func payload(v int64) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, uint64(v))
-	return buf
+	return binary.LittleEndian.AppendUint64(comm.GetBuffer(8), uint64(v))
 }
 
-func value(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
+// consume decodes a received payload and, being its owner now, recycles it.
+func consume(b []byte) int64 {
+	v := int64(binary.LittleEndian.Uint64(b))
+	comm.PutBuffer(b)
+	return v
+}
 
 // Accumulator is a patch-program node of a program-level DAG: it waits for
 // one value from each upwind program, then emits seed + sum(inputs) to all
@@ -83,7 +89,7 @@ func (a *Accumulator) Reset() {
 
 // Input implements core.PatchProgram.
 func (a *Accumulator) Input(s core.Stream) {
-	a.sum += value(s.Payload)
+	a.sum += consume(s.Payload)
 	a.got++
 }
 
@@ -165,7 +171,7 @@ func (p *PingPong) Reset() {
 // Input implements core.PatchProgram.
 func (p *PingPong) Input(s core.Stream) {
 	p.haveBall = true
-	p.ball = value(s.Payload)
+	p.ball = consume(s.Payload)
 	p.received++
 }
 
