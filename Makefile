@@ -29,13 +29,14 @@ short:
 race:
 	$(GO) test -race ./...
 
-# Allocation ceilings: zero per steady-state program sweep, a constant per
-# runtime round and message, fixed handfuls in graph and priority set-up.
-# They need a run WITHOUT -race (under the race detector sync.Pool drops
-# buffers and the exact-count tests skip), and the full CI test run is
-# -race only — hence this target (mirrors the CI step).
+# Allocation ceilings: zero per steady-state program sweep and per pooled
+# message (in-memory and loopback socket), a constant per runtime round,
+# the same count for every warm solve, fixed handfuls in graph and priority
+# set-up. The full CI test run is -race only, and the race detector makes
+# the whole-solve repeat test too slow to run, so this target runs them
+# all without it (mirrors the CI step).
 allocs:
-	$(GO) test -run 'Allocs|AllocCeiling' ./internal/sweep ./internal/runtime ./internal/graph ./internal/priority
+	$(GO) test -run 'Allocs|AllocCeiling|AllocationsRepeat' ./internal/comm ./internal/netcomm ./internal/sweep ./internal/runtime ./internal/graph ./internal/priority
 
 # go vet plus jsweepvet, the in-repo analyzer suite that machine-checks
 # jsweep's own invariants (see DESIGN.md "Static analysis").
@@ -85,8 +86,8 @@ cyclic-bench:
 
 # Compare the in-memory, shared-memory-ring, Unix-socket and
 # TCP-localhost transport backends (frames, bytes on the wire,
-# per-iteration time and heap allocations, aggregation off/on, plus a
-# buffer-pool ablation) and record BENCH_netcomm.json.
+# per-iteration time and heap allocations, aggregation off/on) and record
+# BENCH_netcomm.json.
 net-bench:
 	$(GO) run ./cmd/jsweep-bench -exp net -fidelity quick -out BENCH_netcomm.json
 

@@ -20,9 +20,7 @@ import (
 // peer mesh, framing, coalescing, buffer recycling) over loopback with
 // one solver node per rank — the same code path jsweep-node uses,
 // minus process isolation — and every backend/aggregation combination
-// must land on the identical flux bit pattern. A final ablation
-// re-runs the UDS solve with the wire buffer pool disabled to put a
-// number on what recycling saves.
+// must land on the identical flux bit pattern.
 func NetBackend(f Fidelity, w io.Writer) ([]Point, error) {
 	spec := nodespec.Spec{
 		Mesh: "kobayashi", N: 16, SnOrder: 2, Scatter: true,
@@ -42,7 +40,6 @@ func NetBackend(f Fidelity, w io.Writer) ([]Point, error) {
 
 	var pts []Point
 	hashes := map[string]string{}
-	var udsPooledAllocs float64
 	for _, backend := range []string{"mem", "shm", "uds", "tcp"} {
 		for _, agg := range []bool{false, true} {
 			s := spec
@@ -65,9 +62,6 @@ func NetBackend(f Fidelity, w io.Writer) ([]Point, error) {
 				Point{Series: series + "-wire-bytes", X: float64(spec.Procs), Value: float64(cs.WireBytes)},
 			)
 			hashes[series] = res.FluxHash
-			if backend == "uds" && !agg {
-				udsPooledAllocs = allocsPerIter
-			}
 			if backend != "mem" {
 				want := int64(spec.Procs * (spec.Procs - 1))
 				if (backend == "uds" || backend == "shm") && cs.FastPairs != want {
@@ -85,20 +79,6 @@ func NetBackend(f Fidelity, w io.Writer) ([]Point, error) {
 					backend, cs.Messages, cs.RemoteStreams)
 			}
 		}
-	}
-
-	// Pooling ablation: same UDS solve, wire buffer pool off.
-	was := comm.SetPooling(false)
-	resOff, _, offPerIter, err := runBest("uds", spec)
-	comm.SetPooling(was)
-	if err != nil {
-		return nil, fmt.Errorf("bench: uds pooling-off: %w", err)
-	}
-	hashes["uds-pooling-off"] = resOff.FluxHash
-	pts = append(pts, Point{Series: "uds-pooling-off-allocs-per-iter", X: float64(spec.Procs), Value: offPerIter})
-	if udsPooledAllocs > 0 && offPerIter > 0 {
-		fmt.Fprintf(w, "  buffer pool ablation (uds, agg=false): %.0f allocs/iter pooled vs %.0f unpooled (%.1f%% fewer)\n",
-			udsPooledAllocs, offPerIter, 100*(1-udsPooledAllocs/offPerIter))
 	}
 
 	// Wire microbenchmark: the solves above are compute-bound (the

@@ -19,12 +19,12 @@ import "fmt"
 type Collective struct {
 	ep    Endpoint
 	n     int
-	stash [][][]byte // per-source FIFO of early-arrived payloads
+	stash []Ring[[]byte] // per-source FIFO of early-arrived payloads
 }
 
 // NewCollective wraps an endpoint for collectives over an n-rank world.
 func NewCollective(ep Endpoint, n int) *Collective {
-	return &Collective{ep: ep, n: n, stash: make([][][]byte, n)}
+	return &Collective{ep: ep, n: n, stash: make([]Ring[[]byte], n)}
 }
 
 // AllExchange sends payload to every other rank and returns one payload
@@ -47,10 +47,8 @@ func (c *Collective) AllExchange(payload []byte) ([][]byte, error) {
 		}
 		// Consume stashed early arrivals first: FIFO per source keeps
 		// payloads aligned with the collective sequence.
-		if q := c.stash[r]; len(q) > 0 {
-			out[r], got[r] = q[0], true
-			q[0] = nil
-			c.stash[r] = q[1:]
+		if early, ok := c.stash[r].Pop(); ok {
+			out[r], got[r] = early, true
 			continue
 		}
 		missing++
@@ -66,7 +64,7 @@ func (c *Collective) AllExchange(payload []byte) ([][]byte, error) {
 		if got[m.From] {
 			// A faster peer is already in a later collective; keep its
 			// payload for our next call.
-			c.stash[m.From] = append(c.stash[m.From], m.Data)
+			c.stash[m.From].Push(m.Data)
 			continue
 		}
 		out[m.From], got[m.From] = m.Data, true

@@ -161,8 +161,8 @@ type MemEndpoint struct {
 
 	mu       sync.Mutex
 	oobCond  *sync.Cond
-	queue    []Message
-	oobQueue []Message
+	queue    Ring[Message]
+	oobQueue Ring[Message]
 	notify   chan struct{}
 
 	sent     atomic.Int64
@@ -192,10 +192,10 @@ func (e *MemEndpoint) deliver(to int, data []byte, oob bool) error {
 	e.sent.Add(1)
 	e.bytesOut.Add(int64(len(data)))
 	if oob {
-		dst.oobQueue = append(dst.oobQueue, Message{From: e.rank, Data: data})
+		dst.oobQueue.Push(Message{From: e.rank, Data: data})
 		dst.oobCond.Signal()
 	} else {
-		dst.queue = append(dst.queue, Message{From: e.rank, Data: data})
+		dst.queue.Push(Message{From: e.rank, Data: data})
 	}
 	dst.mu.Unlock()
 	if !oob {
@@ -224,15 +224,10 @@ func (e *MemEndpoint) Notify() <-chan struct{} { return e.notify }
 func (e *MemEndpoint) TryRecv() (Message, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.queue) == 0 {
+	m, ok := e.queue.Pop()
+	if !ok {
 		return Message{}, false
 	}
-	m := e.queue[0]
-	// Clear the popped slot: the backing array outlives the pop, and a
-	// lingering reference would pin the payload until the whole array is
-	// released — defeating buffer recycling.
-	e.queue[0] = Message{}
-	e.queue = e.queue[1:]
 	e.received.Add(1)
 	e.bytesIn.Add(int64(len(m.Data)))
 	return m, true
@@ -243,15 +238,13 @@ func (e *MemEndpoint) TryRecv() (Message, bool) {
 func (e *MemEndpoint) RecvOOB() (Message, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for len(e.oobQueue) == 0 {
+	for e.oobQueue.Len() == 0 {
 		if e.transport.closed.Load() {
 			return Message{}, ErrClosed
 		}
 		e.oobCond.Wait()
 	}
-	m := e.oobQueue[0]
-	e.oobQueue[0] = Message{} // do not pin the consumed payload (see TryRecv)
-	e.oobQueue = e.oobQueue[1:]
+	m, _ := e.oobQueue.Pop()
 	e.received.Add(1)
 	e.bytesIn.Add(int64(len(m.Data)))
 	return m, nil
@@ -269,7 +262,7 @@ func (e *MemEndpoint) Err() error {
 func (e *MemEndpoint) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.queue)
+	return e.queue.Len()
 }
 
 // Counters returns (sent, received, bytesOut, bytesIn) for this endpoint.

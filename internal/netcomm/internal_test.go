@@ -9,8 +9,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	goruntime "runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -447,20 +449,25 @@ func TestByeWriteFailureRecorded(t *testing.T) {
 
 // TestNetEndpointClearsQueueSlots pins the retention bugfix on the
 // netcomm endpoint: popped queue slots must not keep referencing the
-// consumed payloads.
+// consumed payloads. The inbox rings keep their backing arrays, so a
+// payload they still pinned would never be collected: every consumed
+// payload's finalizer must run.
 func TestNetEndpointClearsQueueSlots(t *testing.T) {
 	tr := &Transport{rank: 0, world: 2, peers: make([]*peer, 2)}
 	tr.ep = &Endpoint{t: tr, notify: make(chan struct{}, 1)}
 	tr.ep.oobCond = sync.NewCond(&tr.ep.mu)
 	e := tr.ep
 	const n = 8
-	for i := 0; i < n; i++ {
-		e.deliver(1, []byte{byte(i)}, false)
-		e.deliver(1, []byte{byte(i)}, true)
+	var freed atomic.Int32
+	payload := func() []byte {
+		p := new([64]byte)
+		goruntime.SetFinalizer(p, func(*[64]byte) { freed.Add(1) })
+		return p[:]
 	}
-	e.mu.Lock()
-	backing, oobBacking := e.queue[:n:n], e.oobQueue[:n:n]
-	e.mu.Unlock()
+	for i := 0; i < n; i++ {
+		e.deliver(1, payload(), false)
+		e.deliver(1, payload(), true)
+	}
 	for i := 0; i < n; i++ {
 		if _, ok := e.TryRecv(); !ok {
 			t.Fatalf("message %d missing", i)
@@ -469,14 +476,15 @@ func TestNetEndpointClearsQueueSlots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if backing[i].Data != nil {
-			t.Fatalf("data-lane slot %d still pins its payload after TryRecv", i)
-		}
-		if oobBacking[i].Data != nil {
-			t.Fatalf("oob slot %d still pins its payload after RecvOOB", i)
-		}
+	deadline := time.Now().Add(10 * time.Second)
+	for freed.Load() < 2*n && time.Now().Before(deadline) {
+		goruntime.GC()
+		time.Sleep(time.Millisecond)
 	}
+	if got := freed.Load(); got != 2*n {
+		t.Fatalf("%d of %d consumed payloads are still reachable from the endpoint", 2*n-got, 2*n)
+	}
+	goruntime.KeepAlive(e)
 }
 
 // TestDialTarget pins the three-tier transport-selection rule.

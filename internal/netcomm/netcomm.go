@@ -297,6 +297,21 @@ func (t *Transport) Close() error {
 	return nil
 }
 
+// takeBatch waits for queued frames (or closing) and swaps the queue with
+// spent, the writer's previous batch, whose slots the writer has already
+// cleared: the two backing arrays alternate between sender and writer, so
+// once both have reached the peak batch size no write batch allocates.
+func (p *peer) takeBatch(spent []wireMsg) (batch []wireMsg, closing bool) {
+	p.mu.Lock()
+	for len(p.outq) == 0 && !p.closing {
+		p.cond.Wait()
+	}
+	batch, p.outq = p.outq, spent[:0]
+	closing = p.closing
+	p.mu.Unlock()
+	return batch, closing
+}
+
 // completeFrames reports how many whole frames of a batch fit in the
 // written byte count, and the wire bytes (header + payload) those frames
 // span. A failed scatter-gather write can stop mid-batch; only frames
@@ -324,20 +339,16 @@ func completeFrames(batch []wireMsg, written int64) (frames, bytes int64) {
 func (t *Transport) writeLoop(p *peer) {
 	defer close(p.wdone)
 	var (
-		hdrs []byte      // flat header arena, HeaderSize bytes per frame
-		bufs net.Buffers // iovec list: hdr, payload, hdr, payload, ...
+		batch   []wireMsg   // the batch being written; swapped with p.outq
+		hdrs    []byte      // flat header arena, HeaderSize bytes per frame
+		bufs    net.Buffers // iovec list: hdr, payload, hdr, payload, ...
+		wv      net.Buffers // WriteTo's receiver: it escapes, so one per loop, not per write
+		closing bool
 	)
 	lc := t.m.lanes("out", p.network)
 	batchHist := t.m.writevBatch.With(p.network)
 	for {
-		p.mu.Lock()
-		for len(p.outq) == 0 && !p.closing {
-			p.cond.Wait()
-		}
-		batch := p.outq
-		p.outq = nil
-		closing := p.closing
-		p.mu.Unlock()
+		batch, closing = p.takeBatch(batch)
 		if len(batch) > 0 {
 			if need := len(batch) * HeaderSize; cap(hdrs) < need {
 				hdrs = make([]byte, 0, need)
@@ -351,7 +362,7 @@ func (t *Transport) writeLoop(p *peer) {
 			}
 			// WriteTo advances (and nils out) its receiver as buffers are
 			// consumed — run it on a copy so bufs[:0] stays reusable.
-			wv := bufs
+			wv = bufs
 			n, err := wv.WriteTo(p.conn)
 			frames, bytes := completeFrames(batch, n)
 			t.framesSent.Add(frames)
@@ -468,8 +479,8 @@ type Endpoint struct {
 	// condition variable).
 	mu       sync.Mutex
 	oobCond  *sync.Cond
-	queue    []comm.Message
-	oobQueue []comm.Message
+	queue    comm.Ring[comm.Message]
+	oobQueue comm.Ring[comm.Message]
 	notify   chan struct{}
 
 	sent     atomic.Int64
@@ -485,10 +496,10 @@ func (e *Endpoint) Rank() int { return e.t.rank }
 func (e *Endpoint) deliver(from int, data []byte, oob bool) {
 	e.mu.Lock()
 	if oob {
-		e.oobQueue = append(e.oobQueue, comm.Message{From: from, Data: data})
+		e.oobQueue.Push(comm.Message{From: from, Data: data})
 		e.oobCond.Signal()
 	} else {
-		e.queue = append(e.queue, comm.Message{From: from, Data: data})
+		e.queue.Push(comm.Message{From: from, Data: data})
 	}
 	e.mu.Unlock()
 	if !oob {
@@ -569,15 +580,10 @@ func (e *Endpoint) SendOOB(to int, data []byte) error { return e.send(to, data, 
 func (e *Endpoint) TryRecv() (comm.Message, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.queue) == 0 {
+	m, ok := e.queue.Pop()
+	if !ok {
 		return comm.Message{}, false
 	}
-	m := e.queue[0]
-	// Clear the popped slot: the backing array outlives the pop, and a
-	// lingering reference would pin the payload until the whole array is
-	// released — defeating buffer recycling.
-	e.queue[0] = comm.Message{}
-	e.queue = e.queue[1:]
 	e.received.Add(1)
 	e.bytesIn.Add(int64(len(m.Data)))
 	return m, true
@@ -589,15 +595,13 @@ func (e *Endpoint) TryRecv() (comm.Message, bool) {
 func (e *Endpoint) RecvOOB() (comm.Message, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for len(e.oobQueue) == 0 {
+	for e.oobQueue.Len() == 0 {
 		if err := e.t.aliveErr(); err != nil {
 			return comm.Message{}, err
 		}
 		e.oobCond.Wait()
 	}
-	m := e.oobQueue[0]
-	e.oobQueue[0] = comm.Message{} // do not pin the consumed payload (see TryRecv)
-	e.oobQueue = e.oobQueue[1:]
+	m, _ := e.oobQueue.Pop()
 	e.received.Add(1)
 	e.bytesIn.Add(int64(len(m.Data)))
 	return m, nil
@@ -615,7 +619,7 @@ func (e *Endpoint) Err() error { return e.t.aliveErr() }
 func (e *Endpoint) Pending() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.queue)
+	return e.queue.Len()
 }
 
 // Counters returns (sent, received, bytesOut, bytesIn) payload totals

@@ -349,15 +349,10 @@ func (t *Transport) shmWriteLoop(p *peer) {
 	defer close(p.wdone)
 	hdr := make([]byte, 0, HeaderSize)
 	lc := t.m.lanes("out", "shm")
+	var batch []wireMsg // the batch being copied; swapped with p.outq
 	for {
-		p.mu.Lock()
-		for len(p.outq) == 0 && !p.closing {
-			p.cond.Wait()
-		}
-		batch := p.outq
-		p.outq = nil
-		closing := p.closing
-		p.mu.Unlock()
+		var closing bool
+		batch, closing = p.takeBatch(batch)
 		for i := range batch {
 			m := batch[i]
 			hdr = AppendHeader(hdr[:0], m.kind, len(m.payload))

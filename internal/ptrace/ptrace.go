@@ -155,7 +155,7 @@ type Program struct {
 	// Leaked sums the weight·remaining-path of particles that left the
 	// domain through the patch boundary.
 	leaked  float64
-	pending []core.Stream
+	pending comm.Ring[core.Stream]
 
 	// Traced counts particles processed by this program (diagnostics).
 	Traced int64
@@ -241,7 +241,7 @@ func (p *Program) Compute() {
 		if !ok {
 			continue
 		}
-		p.pending = append(p.pending, core.Stream{
+		p.pending.Push(core.Stream{
 			SrcPatch: p.patch, SrcTask: 0,
 			TgtPatch: tgt, TgtTask: 0,
 			Payload: encodeParticles(ps),
@@ -250,14 +250,7 @@ func (p *Program) Compute() {
 }
 
 // Output implements core.PatchProgram.
-func (p *Program) Output() (core.Stream, bool) {
-	if len(p.pending) == 0 {
-		return core.Stream{}, false
-	}
-	s := p.pending[0]
-	p.pending = p.pending[1:]
-	return s, true
-}
+func (p *Program) Output() (core.Stream, bool) { return p.pending.Pop() }
 
 // VoteToHalt implements core.PatchProgram.
 func (p *Program) VoteToHalt() bool { return len(p.queue) == 0 }

@@ -1,9 +1,8 @@
 //go:build !race
 
-// Package raceflag tells tests whether the race detector is compiled in.
-// Exact allocation counts only hold without it: under -race sync.Pool
-// drops a share of what is put into it, so a pooled buffer is sometimes
-// allocated afresh.
+// Package raceflag tells tests whether the race detector is compiled in,
+// so a test whose cost the detector multiplies beyond a CI run's budget
+// (whole solves repeated many times) can skip under it.
 package raceflag
 
 // Enabled reports whether the binary was built with -race.

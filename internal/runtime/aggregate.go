@@ -21,8 +21,8 @@ import (
 
 // AggregationConfig holds the outbound message-aggregation knobs.
 type AggregationConfig struct {
-	// Enabled turns stream aggregation on. When off, every routeStreams
-	// call sends its remote streams immediately (the pre-aggregation
+	// Enabled turns stream aggregation on. When off, every routed worker
+	// cycle sends its remote streams immediately (the pre-aggregation
 	// behaviour).
 	Enabled bool
 	// MaxBatchStreams flushes a destination once this many streams are

@@ -76,13 +76,12 @@ func (c *countingSink) Input(s core.Stream) {
 	comm.PutBuffer(s.Payload)
 }
 
-// TestPassiveSeesResultSentDuringCheck pins the order of reads in
-// passive(): a worker hands its result over and only then stops counting as
-// busy, so the results channel has to be read after the workers were seen
-// idle. The test lets the worker finish its cycle in the middle of a
-// passive() call (the endpoint's Pending is the hook); reading the channel
-// first would find it empty, then find the workers idle, and a single-rank
-// Safra round would end with the stream never routed.
+// TestPassiveSeesResultSentDuringCheck pins passive()'s view of a worker
+// that finishes its cycle in the middle of the check (the endpoint's
+// Pending is the hook): the worker queues its output and stops counting as
+// busy in one critical section, and passive() reads both under one lock,
+// so it sees the busy worker or the output to route — never neither, which
+// would end a single-rank Safra round with the stream never routed.
 func TestPassiveSeesResultSentDuringCheck(t *testing.T) {
 	mem, err := comm.NewTransport(1)
 	if err != nil {

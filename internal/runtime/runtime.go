@@ -63,7 +63,7 @@ type Config struct {
 	Termination TerminationMode
 	// Aggregation configures outbound message aggregation: remote streams
 	// coalesce into per-destination multi-stream frames instead of going
-	// out one message per routeStreams call.
+	// out one message per routed worker cycle.
 	Aggregation AggregationConfig
 	// Transport is the message-passing backend. Nil (the default) creates
 	// an in-memory transport hosting all Procs ranks as goroutines of
@@ -387,7 +387,7 @@ func (rt *Runtime) Close() error {
 			p.mu.Unlock()
 		}
 		for _, p := range rt.procs {
-			p.drainAndJoin()
+			p.wg.Wait()
 		}
 	}
 	if rt.ownsTransport {
@@ -430,27 +430,26 @@ func (c *Stats) add(o Stats) {
 
 // progState tracks one patch-program inside its home process.
 type progState struct {
-	key   core.ProgramKey
-	prog  core.PatchProgram
-	prio  int64
-	seq   int64
-	inbox []core.Stream
-	// inboxFree is the previous inbox buffer, recycled by the worker after
-	// consuming it so steady-state delivery stops allocating.
-	inboxFree   []core.Stream
-	active      bool
-	queued      bool
-	running     bool
-	initialized bool
-	worker      int // owning worker, -1 when unassigned
-	index       int // heap index
+	key  core.ProgramKey
+	prog core.PatchProgram
+	prio int64
+	seq  int64
+	// inHead and inTail delimit the program's inbox: its delivered,
+	// not yet consumed streams, a list threaded through the process's
+	// inbox arena (-1 when empty).
+	inHead, inTail int32
+	active         bool
+	queued         bool
+	running        bool
+	initialized    bool
+	worker         int // owning worker, -1 when unassigned
+	index          int // heap index
 }
 
-// workerResult is what a worker hands back to its master per cycle. The
-// streams slice is on loan: routeStreams returns it to the process's
-// outsFree list once every stream is routed.
-type workerResult struct {
-	streams []core.Stream
+// inboxNode is one delivered stream in a process's inbox arena.
+type inboxNode struct {
+	s    core.Stream
+	next int32 // the next node of the same inbox or of the free list, -1 at the end
 }
 
 type process struct {
@@ -468,17 +467,30 @@ type process struct {
 	// it the schedule) is deterministic.
 	order   []*progState
 	workers []*workerQueue
-	// outsFree holds the emptied output slices routeStreams took back from
-	// worker results, for the workers to refill.
-	outsFree [][]core.Stream
+	// outStreams holds the streams worker cycles produced and the master
+	// has not routed yet, back to back in cycle order; outCycles holds one
+	// stream count per such cycle, so the master routes each cycle's
+	// output as one batch. Both rings keep their capacity across rounds.
+	outStreams comm.Ring[core.Stream]
+	outCycles  comm.Ring[int]
+	// nodes is the inbox arena: the delivered streams of every program,
+	// one list per program threaded through a single slice, with freeNode
+	// heading the list of unused nodes. It grows (by doubling) to the
+	// process's in-flight peak once, instead of one buffer per program
+	// each growing to its own.
+	nodes    []inboxNode
+	freeNode int32
 	// activePrograms counts programs in Active state.
 	activePrograms int
-	// busyWorkers counts workers between popping a program and handing
-	// their produced streams to the master — passive() must see them.
+	// busyWorkers counts workers between popping a program and queueing
+	// their produced streams for the master — passive() must see them.
 	busyWorkers int
 	shutdown    bool
 
-	results chan workerResult
+	// outReady carries a token to the master after a worker queued output
+	// (capacity 1: one token stands for every cycle queued since the
+	// master last drained outCycles).
+	outReady chan struct{}
 
 	// Safra state.
 	safraColor   byte
@@ -500,10 +512,10 @@ type process struct {
 	// endpoint queue at the next round's start. Both are only touched by
 	// the master loop and the between-rounds Reset, never concurrently.
 	round  uint32
-	future []comm.Message
-	replay []comm.Message
+	future comm.Ring[comm.Message]
+	replay comm.Ring[comm.Message]
 
-	// perRank is routeStreams' scratch: the remote streams of one call
+	// perRank is routeNext's scratch: the remote streams of one cycle
 	// grouped by destination rank (unbatched path). inbound is
 	// handleMessage's: the streams decoded from one message. Master
 	// goroutine only.
@@ -528,11 +540,12 @@ func newProcess(rt *Runtime, rank int) *process {
 		rt:          rt,
 		rank:        rank,
 		ep:          rt.transport.Endpoint(rank),
-		results:     make(chan workerResult, 4096),
+		outReady:    make(chan struct{}, 1),
 		doneReports: make(map[int]bool),
 		safraColor:  tokenWhite,
 		round:       1,
 		perRank:     make([][]core.Stream, rt.cfg.Procs),
+		freeNode:    -1,
 	}
 	p.workers = make([]*workerQueue, rt.cfg.Workers)
 	for w := range p.workers {
@@ -550,7 +563,7 @@ func newProcess(rt *Runtime, rank int) *process {
 }
 
 func (p *process) register(key core.ProgramKey, prog core.PatchProgram, prio int64) *progState {
-	ps := &progState{key: key, prog: prog, prio: prio, seq: int64(len(p.order)), active: true, worker: -1}
+	ps := &progState{key: key, prog: prog, prio: prio, seq: int64(len(p.order)), active: true, worker: -1, inHead: -1, inTail: -1}
 	p.order = append(p.order, ps)
 	p.activePrograms++
 	return ps
@@ -609,13 +622,8 @@ masterLoop:
 		// round boundary first (they arrived before anything still queued
 		// on the endpoint, so pairwise FIFO order is preserved).
 		for {
-			var m comm.Message
-			var ok bool
-			if len(p.replay) > 0 {
-				m, ok = p.replay[0], true
-				p.replay[0] = comm.Message{} // the backing array must not pin consumed payloads
-				p.replay = p.replay[1:]
-			} else {
+			m, ok := p.replay.Pop()
+			if !ok {
 				m, ok = p.ep.TryRecv()
 			}
 			if !ok {
@@ -631,20 +639,18 @@ masterLoop:
 				break masterLoop
 			}
 		}
-		// Drain worker results.
+		// Route the worker cycles' output.
 		for {
-			select {
-			case r := <-p.results:
-				progress = true
-				if herr := p.routeStreams(r.streams); herr != nil {
-					err = herr
-					break masterLoop
-				}
-			default:
-				goto drained
+			routed, rerr := p.routeNext()
+			if rerr != nil {
+				err = rerr
+				break masterLoop
 			}
+			if !routed {
+				break
+			}
+			progress = true
 		}
-	drained:
 		// Deadline flushes run every iteration, not only when idle: a busy
 		// master must still honor the FlushInterval liveness bound so
 		// downstream ranks are never starved behind a half-full batch.
@@ -683,11 +689,7 @@ masterLoop:
 			}
 			// Idle wait on any event source.
 			select {
-			case r := <-p.results:
-				if herr := p.routeStreams(r.streams); herr != nil {
-					err = herr
-					break masterLoop
-				}
+			case <-p.outReady:
 			case <-p.ep.Notify():
 			case <-ctx.Done():
 			case <-ticker.C:
@@ -697,8 +699,8 @@ masterLoop:
 
 	// Workers stay parked on their condvars for the next round. On a clean
 	// termination they are idle (passive() saw no queued or running work)
-	// and the results channel is empty; on error the session is marked
-	// broken and Close drains whatever the workers still produce.
+	// and no output awaits routing; on error the session is marked broken
+	// and only Close remains.
 	p.mu.Lock()
 	for _, w := range p.workers {
 		p.stats.WorkerBusy += w.busy
@@ -744,21 +746,24 @@ func (p *process) resetRound() error {
 			return fmt.Errorf("runtime: rank %d has a stale round-%d message from rank %d undrained at the round-%d boundary",
 				p.rank, round, m.From, p.round)
 		}
-		p.future = append(p.future, m)
+		p.future.Push(m)
 		p.rt.m.stashed.Inc()
 	}
 	// Promote the stash: it becomes the next round's first input. Sanity:
-	// nothing may still sit in replay — the round consumed it all.
-	if n := len(p.replay); n > 0 {
+	// nothing may still sit in replay — the round consumed it all — so the
+	// two rings simply trade places.
+	if n := p.replay.Len(); n > 0 {
 		return fmt.Errorf("runtime: rank %d has %d unreplayed messages at round boundary", p.rank, n)
 	}
-	p.replay = p.future
-	p.future = nil
+	p.replay, p.future = p.future, p.replay
 	p.round++
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.busyWorkers > 0 {
 		return fmt.Errorf("runtime: rank %d has %d busy workers at round boundary", p.rank, p.busyWorkers)
+	}
+	if n := p.outCycles.Len(); n > 0 {
+		return fmt.Errorf("runtime: rank %d has %d unrouted worker cycles at round boundary", p.rank, n)
 	}
 	for _, b := range p.batchers {
 		if b != nil && b.Pending() > 0 {
@@ -766,8 +771,8 @@ func (p *process) resetRound() error {
 		}
 	}
 	for _, ps := range p.order {
-		if len(ps.inbox) > 0 {
-			return fmt.Errorf("runtime: program %v has %d undelivered streams at round boundary", ps.key, len(ps.inbox))
+		if ps.inHead >= 0 {
+			return fmt.Errorf("runtime: program %v has undelivered streams at round boundary", ps.key)
 		}
 		ps.active = true
 		ps.queued = false
@@ -787,23 +792,6 @@ func (p *process) resetRound() error {
 	clear(p.doneReports)
 	p.sentDone = false
 	return nil
-}
-
-// drainAndJoin waits for the worker goroutines to exit, draining the
-// results channel so a worker blocked on a full channel can finish.
-func (p *process) drainAndJoin() {
-	done := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(done)
-	}()
-	for {
-		select {
-		case <-p.results:
-		case <-done:
-			return
-		}
-	}
 }
 
 // assignLocked queues program ps on worker w. Caller holds p.mu.
@@ -827,14 +815,17 @@ func (p *process) lightestWorker() *workerQueue {
 	return best
 }
 
-// routeStreams routes worker-produced streams: local targets are delivered
-// directly; remote targets go straight into the destination's batcher
-// (aggregating path) or are grouped per rank and sent immediately, in
-// ascending rank order. The streams slice itself is a worker's on loan: it
-// goes back to outsFree, emptied, once every stream has been routed.
-func (p *process) routeStreams(streams []core.Stream) error {
-	if len(streams) == 0 {
-		return nil
+// routeNext routes the output of the oldest worker cycle awaiting routing
+// and reports whether there was one: local targets are delivered directly;
+// remote targets go straight into the destination's batcher (aggregating
+// path) or are grouped per rank and sent immediately, in ascending rank
+// order.
+func (p *process) routeNext() (bool, error) {
+	p.mu.Lock()
+	n, ok := p.outCycles.Pop()
+	if !ok {
+		p.mu.Unlock()
+		return false, nil
 	}
 	var now time.Time
 	if p.batchers != nil {
@@ -842,29 +833,32 @@ func (p *process) routeStreams(streams []core.Stream) error {
 	} else {
 		defer p.dropPerRank()
 	}
-	p.mu.Lock()
-	for i := range streams {
-		s := &streams[i]
+	for ; n > 0; n-- {
+		s, _ := p.outStreams.Pop()
 		r, ok := p.rt.routes[s.Tgt()]
 		if !ok {
 			p.mu.Unlock()
-			return fmt.Errorf("runtime: stream %v -> %v targets unregistered program", s.Src(), s.Tgt())
+			return true, fmt.Errorf("runtime: stream %v -> %v targets unregistered program", s.Src(), s.Tgt())
 		}
 		if r.rank == p.rank {
 			p.stats.LocalStreams++
-			p.deliverLocked(r.ps, *s)
+			p.deliverLocked(r.ps, s)
 			continue
 		}
 		p.stats.RemoteStreams++
 		if p.batchers != nil {
-			p.batchers[r.rank].Add(now, *s)
+			p.batchers[r.rank].Add(now, s)
 			continue
 		}
-		p.perRank[r.rank] = append(p.perRank[r.rank], *s)
+		p.perRank[r.rank] = append(p.perRank[r.rank], s)
 	}
-	clear(streams)
-	p.outsFree = append(p.outsFree, streams[:0])
 	p.mu.Unlock()
+	return true, p.sendRouted()
+}
+
+// sendRouted sends what routeNext left for the wire: full batches on the
+// aggregating path, else every rank's group of the cycle's streams.
+func (p *process) sendRouted() error {
 	if p.batchers != nil {
 		// Flush outside the lock: a batch may overshoot its trigger by the
 		// streams of this one call, which the flush policy tolerates.
@@ -913,7 +907,7 @@ func releasePayloads(streams []core.Stream) {
 }
 
 // dropPerRank empties the routing scratch on every way out of
-// routeStreams; the kept backing arrays must not pin the payloads.
+// routeNext; the kept backing arrays must not pin the payloads.
 func (p *process) dropPerRank() {
 	for r, batch := range p.perRank {
 		clear(batch)
@@ -961,9 +955,9 @@ func (p *process) flushExpired(now time.Time) (flushed bool, err error) {
 // never wait on a batch that cannot fill.
 func (p *process) flushQuiescent() (flushed bool, err error) {
 	p.mu.Lock()
-	quiescent := p.activePrograms == 0 && p.busyWorkers == 0
+	quiescent := p.activePrograms == 0 && p.busyWorkers == 0 && p.outCycles.Len() == 0
 	p.mu.Unlock()
-	if !quiescent || len(p.results) > 0 {
+	if !quiescent {
 		return false, nil
 	}
 	for _, b := range p.batchers {
@@ -1009,7 +1003,18 @@ func (p *process) deliverRemote(streams []core.Stream) error {
 // deliverLocked appends a stream to its target program's inbox and
 // activates/queues it. Caller holds p.mu.
 func (p *process) deliverLocked(ps *progState, s core.Stream) {
-	ps.inbox = append(ps.inbox, s)
+	if p.freeNode < 0 {
+		p.growNodes()
+	}
+	i := p.freeNode
+	p.freeNode = p.nodes[i].next
+	p.nodes[i] = inboxNode{s: s, next: -1}
+	if ps.inTail < 0 {
+		ps.inHead = i
+	} else {
+		p.nodes[ps.inTail].next = i
+	}
+	ps.inTail = i
 	if !ps.active {
 		ps.active = true
 		p.activePrograms++
@@ -1028,6 +1033,38 @@ func (p *process) deliverLocked(ps *progState, s core.Stream) {
 	}
 }
 
+// growNodes doubles the inbox arena (its first size is one node per
+// program) and threads the new nodes onto the free list, which is empty
+// whenever it is called. Caller holds p.mu.
+func (p *process) growNodes() {
+	n := len(p.nodes)
+	nodes := make([]inboxNode, max(2*n, len(p.order), minNodes))
+	copy(nodes, p.nodes)
+	for i := n; i < len(nodes); i++ {
+		nodes[i].next = int32(i + 1)
+	}
+	nodes[len(nodes)-1].next = -1
+	p.nodes, p.freeNode = nodes, int32(n)
+}
+
+// minNodes is the smallest inbox arena.
+const minNodes = 64
+
+// takeInbox appends ps's inbox, in delivery order, to dst and returns its
+// nodes to the arena's free list. Caller holds p.mu.
+func (p *process) takeInbox(ps *progState, dst []core.Stream) []core.Stream {
+	for i := ps.inHead; i >= 0; {
+		nd := &p.nodes[i]
+		dst = append(dst, nd.s)
+		next := nd.next
+		*nd = inboxNode{next: p.freeNode}
+		p.freeNode = i
+		i = next
+	}
+	ps.inHead, ps.inTail = -1, -1
+	return dst
+}
+
 // handleMessage processes one transport message. Returns stop=true when
 // the process should exit its master loop. A message stamped with a
 // later round than the one in progress is stashed for that round (a
@@ -1039,7 +1076,7 @@ func (p *process) handleMessage(m comm.Message) (stop bool, err error) {
 		return false, err
 	}
 	if round > p.round {
-		p.future = append(p.future, m)
+		p.future.Push(m)
 		p.rt.m.stashed.Inc()
 		return false, nil
 	}
@@ -1103,17 +1140,16 @@ func (p *process) passive() bool {
 	if p.pendingBatched() > 0 {
 		return false
 	}
+	// A worker queues its cycle's output and stops counting as busy in one
+	// critical section, so one look under the lock sees either the busy
+	// worker or the output still to route — never neither.
 	p.mu.Lock()
-	idle := p.activePrograms == 0 && p.busyWorkers == 0
+	defer p.mu.Unlock()
+	idle := p.activePrograms == 0 && p.busyWorkers == 0 && p.outCycles.Len() == 0
 	for _, w := range p.workers {
 		idle = idle && w.load == 0
 	}
-	p.mu.Unlock()
-	// The results channel is read only after the workers were seen idle: a
-	// worker hands its result over before it stops counting as busy, so
-	// checking the channel first would miss a result sent in between and
-	// declare a process passive with streams still to route.
-	return idle && len(p.results) == 0
+	return idle
 }
 
 // checkTermination runs the configured detector; returns true when the
@@ -1214,13 +1250,13 @@ func (p *process) sendToken(to int, color byte, count int64) {
 }
 
 // workerLoop is one worker goroutine: pop the highest-priority active
-// program, run one Alg. 1 cycle, hand produced streams to the master.
+// program, run one Alg. 1 cycle, queue produced streams for the master.
 func (p *process) workerLoop(w *workerQueue) {
 	defer p.wg.Done()
-	// outs collects one cycle's output streams. A cycle that produced some
-	// lends the slice to the master (routeStreams returns it, emptied, to
-	// outsFree) and the next cycle picks up a returned one.
-	var outs []core.Stream
+	// The worker's own scratch, reused every cycle: inbox holds the streams
+	// of the inbox being consumed (copied out of the arena under the lock),
+	// outs the streams the cycle outputs (copied into outStreams under it).
+	var inbox, outs []core.Stream
 	for {
 		p.mu.Lock()
 		for w.heap.Len() == 0 && !p.shutdown {
@@ -1230,19 +1266,11 @@ func (p *process) workerLoop(w *workerQueue) {
 			p.mu.Unlock()
 			return
 		}
-		if n := len(p.outsFree); outs == nil && n > 0 {
-			outs, p.outsFree[n-1] = p.outsFree[n-1], nil
-			p.outsFree = p.outsFree[:n-1]
-		}
 		ps := w.heap.pop()
 		ps.queued = false
 		ps.running = true
 		p.busyWorkers++
-		inbox := ps.inbox
-		// Hand the program the recycled buffer for concurrent deliveries;
-		// the consumed one is returned below.
-		ps.inbox = ps.inboxFree
-		ps.inboxFree = nil
+		inbox = p.takeInbox(ps, inbox)
 		p.mu.Unlock()
 
 		t0 := time.Now()
@@ -1263,19 +1291,17 @@ func (p *process) workerLoop(w *workerQueue) {
 		}
 		halt := ps.prog.VoteToHalt()
 		busy := time.Since(t0)
-		// Drop payload references before recycling the buffer.
+		// Drop payload references before reusing the buffer.
 		clear(inbox)
+		inbox = inbox[:0]
 
 		p.mu.Lock()
 		// Busy time is tracked under the lock: the master reads it at round
 		// boundaries while this goroutine stays alive for the next round.
 		w.busy += busy
-		if ps.inboxFree == nil {
-			ps.inboxFree = inbox[:0]
-		}
 		p.stats.Cycles++
 		ps.running = false
-		if halt && len(ps.inbox) == 0 {
+		if halt && ps.inHead < 0 {
 			ps.active = false
 			p.activePrograms--
 			w.load--
@@ -1284,15 +1310,23 @@ func (p *process) workerLoop(w *workerQueue) {
 			ps.queued = true
 			w.heap.push(ps)
 		}
+		for _, s := range outs {
+			p.outStreams.Push(s)
+		}
+		if len(outs) > 0 {
+			p.outCycles.Push(len(outs))
+		}
+		p.busyWorkers--
 		p.mu.Unlock()
 
 		if len(outs) > 0 {
-			p.results <- workerResult{streams: outs}
-			outs = nil
+			clear(outs)
+			outs = outs[:0]
+			select {
+			case p.outReady <- struct{}{}:
+			default:
+			}
 		}
-		p.mu.Lock()
-		p.busyWorkers--
-		p.mu.Unlock()
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,11 +142,8 @@ func (s *fifoSem) acquire(ctx context.Context) error {
 			s.mu.Unlock()
 			s.release()
 		default:
-			for i, w := range s.waiters {
-				if w == ch {
-					s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-					break
-				}
+			if i := slices.Index(s.waiters, ch); i >= 0 {
+				s.waiters = slices.Delete(s.waiters, i, i+1)
 			}
 			s.mu.Unlock()
 		}
@@ -157,7 +155,7 @@ func (s *fifoSem) release() {
 	s.mu.Lock()
 	if len(s.waiters) > 0 {
 		ch := s.waiters[0]
-		s.waiters = s.waiters[1:]
+		s.waiters = slices.Delete(s.waiters, 0, 1)
 		s.mu.Unlock()
 		close(ch)
 		return

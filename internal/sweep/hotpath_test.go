@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	goruntime "runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -17,7 +16,6 @@ import (
 	"jsweep/internal/meshgen"
 	"jsweep/internal/partition"
 	"jsweep/internal/quadrature"
-	"jsweep/internal/raceflag"
 	"jsweep/internal/transport"
 )
 
@@ -279,14 +277,11 @@ func requireSameFlux(t *testing.T, name string, got, want [][]float64) {
 
 // requireSteadyState runs the first sweep, which allocates the program
 // contexts and fills the buffer pool, and demands AllocsPerRun == 0 from the
-// second sweep on. (AllocsPerRun's own warm-up call is that second sweep:
-// the first sweep only puts buffers into the pool, so the pool's internal
-// queues for taking them out again grow then.)
+// second sweep on (AllocsPerRun's own warm-up call is that second sweep).
+// A garbage collection in between changes nothing: the pool keeps what was
+// put into it.
 func requireSteadyState(t *testing.T, name string, h *handDriver, q [][]float64) {
 	t.Helper()
-	// No collection may start inside the measured sweeps: it would empty
-	// the pool. Finish any cycle in flight and move the next trigger away.
-	goruntime.GC()
 	h.sweep(q)
 	if avg := testing.AllocsPerRun(4, func() { h.sweep(q) }); avg != 0 {
 		t.Errorf("%s: %v allocations per steady-state sweep, want 0", name, avg)
@@ -294,9 +289,6 @@ func requireSteadyState(t *testing.T, name string, h *handDriver, q [][]float64)
 }
 
 func TestProgramSteadyStateAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("exact allocation counts do not hold under -race (sync.Pool drops buffers)")
-	}
 	for _, c := range hotCases(t) {
 		q := fixedSourceQ(c.prob)
 		h, _ := fineDriver(c, false)
@@ -306,9 +298,6 @@ func TestProgramSteadyStateAllocs(t *testing.T) {
 }
 
 func TestCoarseProgramSteadyStateAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("exact allocation counts do not hold under -race (sync.Pool drops buffers)")
-	}
 	for _, c := range hotCases(t) {
 		q := fixedSourceQ(c.prob)
 		h := coarseDriver(t, c, q)

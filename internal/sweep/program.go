@@ -169,7 +169,11 @@ func (p *Program) ensure() {
 	p.qCell = make([]float64, G)
 	p.psiOut = make([]float64, mf*G)
 	p.psiBar = make([]float64, G)
-	p.ready = vertexQueue{prio: p.prio}
+	// Presized to their bounds, so no schedule grows them: every vertex
+	// can be ready at once, and one Compute flushes at most one stream per
+	// stream-plan target before Output drains them.
+	p.ready = vertexQueue{prio: p.prio, heap: make([]int32, 0, n)}
+	p.pending = make([]core.Stream, 0, len(p.g.Targets))
 	p.lagOutStart = lagOutStarts(p.g)
 }
 

@@ -72,7 +72,7 @@ type Accumulator struct {
 	got      int
 	sum      int64
 	computed bool
-	pending  []core.Stream
+	pending  comm.Ring[core.Stream]
 }
 
 // Init implements core.PatchProgram.
@@ -84,7 +84,7 @@ func (a *Accumulator) Reset() {
 	a.got = 0
 	a.sum = 0
 	a.computed = false
-	a.pending = a.pending[:0]
+	a.pending = comm.Ring[core.Stream]{}
 }
 
 // Input implements core.PatchProgram.
@@ -102,7 +102,7 @@ func (a *Accumulator) Compute() {
 	v := a.Seed + a.sum
 	a.Sink.Set(a.Key, v)
 	for _, tgt := range a.Out {
-		a.pending = append(a.pending, core.Stream{
+		a.pending.Push(core.Stream{
 			SrcPatch: a.Key.Patch, SrcTask: a.Key.Task,
 			TgtPatch: tgt.Patch, TgtTask: tgt.Task,
 			Payload: payload(v),
@@ -111,14 +111,7 @@ func (a *Accumulator) Compute() {
 }
 
 // Output implements core.PatchProgram.
-func (a *Accumulator) Output() (core.Stream, bool) {
-	if len(a.pending) == 0 {
-		return core.Stream{}, false
-	}
-	s := a.pending[0]
-	a.pending = a.pending[1:]
-	return s, true
-}
+func (a *Accumulator) Output() (core.Stream, bool) { return a.pending.Pop() }
 
 // VoteToHalt implements core.PatchProgram.
 func (a *Accumulator) VoteToHalt() bool { return true }
@@ -147,7 +140,7 @@ type PingPong struct {
 	received int
 	haveBall bool
 	ball     int64
-	pending  []core.Stream
+	pending  comm.Ring[core.Stream]
 }
 
 // Init implements core.PatchProgram.
@@ -165,7 +158,7 @@ func (p *PingPong) Reset() {
 	p.received = 0
 	p.ball = 0
 	p.haveBall = p.Starter
-	p.pending = p.pending[:0]
+	p.pending = comm.Ring[core.Stream]{}
 }
 
 // Input implements core.PatchProgram.
@@ -191,7 +184,7 @@ func (p *PingPong) Compute() {
 	// the peer can complete its final round; the non-starter's last hit
 	// ends the game.
 	if !done || p.Starter {
-		p.pending = append(p.pending, core.Stream{
+		p.pending.Push(core.Stream{
 			SrcPatch: p.Key.Patch, SrcTask: p.Key.Task,
 			TgtPatch: p.Peer.Patch, TgtTask: p.Peer.Task,
 			Payload: payload(v + 1),
@@ -200,14 +193,7 @@ func (p *PingPong) Compute() {
 }
 
 // Output implements core.PatchProgram.
-func (p *PingPong) Output() (core.Stream, bool) {
-	if len(p.pending) == 0 {
-		return core.Stream{}, false
-	}
-	s := p.pending[0]
-	p.pending = p.pending[1:]
-	return s, true
-}
+func (p *PingPong) Output() (core.Stream, bool) { return p.pending.Pop() }
 
 // VoteToHalt implements core.PatchProgram.
 func (p *PingPong) VoteToHalt() bool { return !p.haveBall || p.sent >= p.Rounds }
