@@ -191,6 +191,40 @@ func BenchmarkProgramCycleBall20k(b *testing.B) {
 	benchProgramCycle(b, "ball", registry.Params{Cells: 20000, SnOrder: 4, Patch: 500})
 }
 
+// benchNewSolver times a cold solver set-up on 2 in-process ranks: the
+// connectivity table, the patch graphs, feedback edges, patch DAGs and
+// priorities of every face-sign signature group, and the patch-programs
+// of the persistent session.
+func benchNewSolver(b *testing.B, family string, p registry.Params) {
+	prob, d, err := registry.Build(family, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := sweep.NewSolver(prob, d, sweep.Options{Procs: 2, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewSolverKobayashi32: 32 768 hexes × 24 angles in 8 signature
+// groups, 64 patches.
+func BenchmarkNewSolverKobayashi32(b *testing.B) {
+	benchNewSolver(b, "kobayashi", registry.Params{N: 32, SnOrder: 4})
+}
+
+// BenchmarkNewSolverBall20k: 22 170 tets × 24 angles in 24 signature
+// groups, patch 500.
+func BenchmarkNewSolverBall20k(b *testing.B) {
+	benchNewSolver(b, "ball", registry.Params{Cells: 20000, SnOrder: 4, Patch: 500})
+}
+
 // BenchmarkReferenceSweep measures the serial ground-truth executor.
 func BenchmarkReferenceSweep(b *testing.B) {
 	prob, _ := kobaFixture(b, 16)

@@ -57,8 +57,9 @@ func New(prob *transport.Problem, d *mesh.Decomposition) (*Executor, error) {
 	e := &Executor{prob: prob, d: d}
 	na := len(prob.Quad.Directions)
 	e.graphs = make([][]*graph.PatchGraph, na)
+	conn := graph.NewConnectivity(d.Mesh)
 	for a := 0; a < na; a++ {
-		e.graphs[a] = graph.BuildAllPatchGraphs(d, prob.Quad.Directions[a].Omega, int32(a))
+		e.graphs[a] = conn.PatchGraphs(d, conn.Signature(prob.Quad.Directions[a].Omega), int32(a), nil)
 	}
 	return e, nil
 }

@@ -78,6 +78,12 @@ type LagOut struct {
 // downwind adjacency split into local and remote edges, both in CSR layout.
 // On cyclic meshes the feedback edges selected for lagging are excluded
 // from the in-degrees and adjacency and recorded in LagIn/LagOut instead.
+//
+// A built graph is immutable. The directions of one face-sign signature
+// group (see Signature) have equal graphs but for Angle, and a solver gives
+// them shallow copies that share every slice of one build — Cells,
+// InDegree, the adjacency, the stream plan and the lagged lists — so no
+// reader may write to them.
 type PatchGraph struct {
 	Patch mesh.PatchID
 	Angle int32
@@ -134,9 +140,10 @@ func (g *PatchGraph) NumEdges() (local, remote int) {
 
 // BuildPatchGraph constructs G_{p,t} for patch p of decomposition d in
 // direction omega. The angle id is recorded but does not influence the
-// construction beyond omega.
+// construction beyond omega. It tabulates the whole mesh first; to build
+// many graphs, use one Connectivity and its PatchGraphs.
 func BuildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, angle int32) *PatchGraph {
-	return buildPatchGraph(d, p, omega, angle, nil, nil, newPlanScratch(d))
+	return BuildPatchGraphLagged(d, p, omega, angle, nil)
 }
 
 // BuildPatchGraphLagged constructs G_{p,t} with the given feedback edges
@@ -144,73 +151,105 @@ func BuildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, ang
 // the patch graph's LagIn/LagOut lists instead. A nil/empty lagged set is
 // identical to BuildPatchGraph.
 func BuildPatchGraphLagged(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, angle int32, lagged []CellEdge) *PatchGraph {
+	c := NewConnectivity(d.Mesh)
 	lagIn, lagOut := laggedSets(lagged)
-	return buildPatchGraph(d, p, omega, angle, lagIn, lagOut, newPlanScratch(d))
+	return c.patchGraph(d, p, c.Signature(omega), angle, lagIn, lagOut, newPatchScratch(d))
 }
 
-// planScratch is the scratch buildPatchGraph derives a stream plan with.
-// One scratch serves any number of builds: each build leaves it as it
-// found it.
-type planScratch struct {
-	// slotOf maps a patch to its slot in the build in progress (first-seen
-	// order, then final order), -1 for a patch that is not a target.
+// BuildAllPatchGraphs builds G_{p,t} for every patch for one direction.
+func BuildAllPatchGraphs(d *mesh.Decomposition, omega geom.Vec3, angle int32) []*PatchGraph {
+	return BuildAllPatchGraphsLagged(d, omega, angle, nil)
+}
+
+// BuildAllPatchGraphsLagged builds G_{p,t} for every patch for one
+// direction with the given feedback edges lagged (see
+// BuildPatchGraphLagged).
+func BuildAllPatchGraphsLagged(d *mesh.Decomposition, omega geom.Vec3, angle int32, lagged []CellEdge) []*PatchGraph {
+	c := NewConnectivity(d.Mesh)
+	return c.PatchGraphs(d, c.Signature(omega), angle, lagged)
+}
+
+// patchScratch counts the downwind patches of one patch at a time: the
+// stream plan of a patch graph, the successor list of a patch DAG node.
+// One scratch serves any number of patches: reset leaves it as it was.
+type patchScratch struct {
+	// slotOf maps a patch to its index among the counted ones (first-seen
+	// order, then ascending after sorted), -1 for a patch not counted.
 	slotOf []int32
-	// seen lists the targets in first-seen order, edges their edge counts.
-	seen  []mesh.PatchID
-	edges []int32
+	// seen lists the counted patches, edges their counts in first-seen
+	// order, counts in the order of seen once sorted.
+	seen          []mesh.PatchID
+	edges, counts []int32
 }
 
-func newPlanScratch(d *mesh.Decomposition) *planScratch {
-	ps := &planScratch{slotOf: make([]int32, d.NumPatches())}
+func newPatchScratch(d *mesh.Decomposition) *patchScratch {
+	ps := &patchScratch{slotOf: make([]int32, d.NumPatches())}
 	for i := range ps.slotOf {
 		ps.slotOf[i] = -1
 	}
 	return ps
 }
 
+// count records one edge into patch q.
+func (ps *patchScratch) count(q mesh.PatchID) {
+	slot := ps.slotOf[q]
+	if slot < 0 {
+		slot = int32(len(ps.seen))
+		ps.slotOf[q] = slot
+		ps.seen = append(ps.seen, q)
+		ps.edges = append(ps.edges, 0)
+	}
+	ps.edges[slot]++
+}
+
+// sorted returns the counted patches in ascending order with their edge
+// counts alongside, and renumbers slotOf to that order. Both slices are
+// the scratch's own, valid until reset.
+func (ps *patchScratch) sorted() (patches []mesh.PatchID, counts []int32) {
+	slices.Sort(ps.seen)
+	ps.counts = ps.counts[:0]
+	for final, q := range ps.seen {
+		ps.counts = append(ps.counts, ps.edges[ps.slotOf[q]])
+		ps.slotOf[q] = int32(final)
+	}
+	return ps.seen, ps.counts
+}
+
+// reset forgets the counted patches.
+func (ps *patchScratch) reset() {
+	for _, q := range ps.seen {
+		ps.slotOf[q] = -1
+	}
+	ps.seen, ps.edges = ps.seen[:0], ps.edges[:0]
+}
+
 // plan derives g's stream plan from its filled RemoteAdj: Targets
 // ascending, TargetEdges alongside, every edge stamped with its slot. It
-// walks the remote edges only, a small share of what the two mesh passes
-// of buildPatchGraph visit, and leaves those passes as they were.
-func (ps *planScratch) plan(g *PatchGraph) {
+// walks the remote edges only, a small share of what the two passes of
+// patchGraph visit.
+func (ps *patchScratch) plan(g *PatchGraph) {
 	for i := range g.RemoteAdj {
-		to := g.RemoteAdj[i].ToPatch
-		slot := ps.slotOf[to]
-		if slot < 0 {
-			slot = int32(len(ps.seen))
-			ps.slotOf[to] = slot
-			ps.seen = append(ps.seen, to)
-			ps.edges = append(ps.edges, 0)
-		}
-		ps.edges[slot]++
+		ps.count(g.RemoteAdj[i].ToPatch)
 	}
-	k := len(ps.seen)
+	targets, counts := ps.sorted()
+	defer ps.reset()
+	k := len(targets)
 	if k == 0 {
 		return
 	}
 	if k > math.MaxUint16+1 {
 		panic(fmt.Sprintf("graph: patch %d has %d downwind patches, more than a RemoteEdge.Slot can number", g.Patch, k))
 	}
-	g.Targets = make([]mesh.PatchID, k)
-	copy(g.Targets, ps.seen)
-	slices.Sort(g.Targets)
-	g.TargetEdges = make([]int32, k)
-	for final, patch := range g.Targets {
-		g.TargetEdges[final] = ps.edges[ps.slotOf[patch]]
-		ps.slotOf[patch] = int32(final)
-	}
+	g.Targets = slices.Clone(targets)
+	g.TargetEdges = slices.Clone(counts)
 	for i := range g.RemoteAdj {
 		e := &g.RemoteAdj[i]
 		e.Slot = uint16(ps.slotOf[e.ToPatch])
 	}
-	for _, patch := range g.Targets {
-		ps.slotOf[patch] = -1
-	}
-	ps.seen, ps.edges = ps.seen[:0], ps.edges[:0]
 }
 
-func buildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, angle int32, lagIn, lagOut map[int64]int32, plan *planScratch) *PatchGraph {
-	m := d.Mesh
+// patchGraph builds G_{p,t} of signature sig from the table.
+func (c *Connectivity) patchGraph(d *mesh.Decomposition, p mesh.PatchID, sig Signature, angle int32, lagIn, lagOut map[int64]int32, ps *patchScratch) *PatchGraph {
 	cells := d.Cells[p]
 	n := len(cells)
 	g := &PatchGraph{
@@ -222,35 +261,32 @@ func buildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, ang
 		RemoteStart: make([]int32, n+1),
 	}
 	// First pass: count edges per vertex.
-	for v, c := range cells {
-		nf := m.NumFaces(c)
-		for i := 0; i < nf; i++ {
-			f := m.Face(c, i)
-			dot := omega.Dot(f.Normal)
-			if f.Neighbor < 0 {
-				continue
-			}
-			if dot < -upwindEps {
+	for v, cell := range cells {
+		lo := c.start[cell]
+		for s := lo; s < c.start[cell+1]; s++ {
+			face := int8(s - lo)
+			switch sig[s] {
+			case faceIn:
 				if lagIn != nil {
-					if idx, ok := lagIn[lagKey(c, int8(i))]; ok {
+					if idx, ok := lagIn[lagKey(cell, face)]; ok {
 						// Lagged incoming face: fed from the old-flux store,
 						// no in-degree.
-						g.LagIn = append(g.LagIn, LagIn{V: int32(v), Face: int8(i), Idx: idx})
+						g.LagIn = append(g.LagIn, LagIn{V: int32(v), Face: face, Idx: idx})
 						continue
 					}
 				}
 				// Incoming face with an upwind neighbour (local or remote).
 				g.InDegree[v]++
-			} else if dot > upwindEps {
+			case faceOut:
 				if lagOut != nil {
-					if idx, ok := lagOut[lagKey(c, int8(i))]; ok {
+					if idx, ok := lagOut[lagKey(cell, face)]; ok {
 						// Lagged outgoing face: written to the new-flux
 						// store, not propagated downwind this sweep.
-						g.LagOut = append(g.LagOut, LagOut{V: int32(v), SrcFace: int8(i), Idx: idx})
+						g.LagOut = append(g.LagOut, LagOut{V: int32(v), SrcFace: face, Idx: idx})
 						continue
 					}
 				}
-				if d.CellPatch[f.Neighbor] == p {
+				if d.CellPatch[c.nbr[s]] == p {
 					g.LocalStart[v+1]++
 				} else {
 					g.RemoteStart[v+1]++
@@ -264,76 +300,38 @@ func buildPatchGraph(d *mesh.Decomposition, p mesh.PatchID, omega geom.Vec3, ang
 	}
 	g.LocalAdj = make([]LocalEdge, g.LocalStart[n])
 	g.RemoteAdj = make([]RemoteEdge, g.RemoteStart[n])
-	lpos := make([]int32, n)
-	rpos := make([]int32, n)
-	copy(lpos, g.LocalStart[:n])
-	copy(rpos, g.RemoteStart[:n])
-	// Second pass: fill edges. For a downwind face of cell c to neighbour
-	// nb, the receiving face index on nb must be found (the face of nb
-	// whose neighbour is c).
-	for v, c := range cells {
-		nf := m.NumFaces(c)
-		for i := 0; i < nf; i++ {
-			f := m.Face(c, i)
-			if f.Neighbor < 0 {
+	// Second pass: fill edges, each vertex's in face order; the table
+	// holds the face through which the downwind neighbour receives.
+	for v, cell := range cells {
+		l, r := g.LocalStart[v], g.RemoteStart[v]
+		lo := c.start[cell]
+		for s := lo; s < c.start[cell+1]; s++ {
+			if sig[s] != faceOut {
 				continue
 			}
-			dot := omega.Dot(f.Normal)
-			if dot <= upwindEps {
-				continue
-			}
+			face := int8(s - lo)
 			if lagOut != nil {
-				if _, skip := lagOut[lagKey(c, int8(i))]; skip {
+				if _, skip := lagOut[lagKey(cell, face)]; skip {
 					continue
 				}
 			}
-			nb := f.Neighbor
-			back := backFace(m, nb, c)
+			nb := c.nbr[s]
 			if d.CellPatch[nb] == p {
-				g.LocalAdj[lpos[v]] = LocalEdge{To: d.Local[nb], SrcFace: int8(i), Face: back}
-				lpos[v]++
+				g.LocalAdj[l] = LocalEdge{To: d.Local[nb], SrcFace: face, Face: c.back[s]}
+				l++
 			} else {
-				g.RemoteAdj[rpos[v]] = RemoteEdge{
+				g.RemoteAdj[r] = RemoteEdge{
 					ToPatch: d.CellPatch[nb],
 					To:      d.Local[nb],
-					SrcFace: int8(i),
-					Face:    back,
+					SrcFace: face,
+					Face:    c.back[s],
 				}
-				rpos[v]++
+				r++
 			}
 		}
 	}
-	plan.plan(g)
+	ps.plan(g)
 	return g
-}
-
-// backFace returns the face index of cell nb that borders cell c.
-func backFace(m mesh.Mesh, nb, c mesh.CellID) int8 {
-	nf := m.NumFaces(nb)
-	for i := 0; i < nf; i++ {
-		if m.Face(nb, i).Neighbor == c {
-			return int8(i)
-		}
-	}
-	panic(fmt.Sprintf("graph: face adjacency not reciprocal between cells %d and %d", nb, c))
-}
-
-// BuildAllPatchGraphs builds G_{p,t} for every patch for one direction.
-func BuildAllPatchGraphs(d *mesh.Decomposition, omega geom.Vec3, angle int32) []*PatchGraph {
-	return BuildAllPatchGraphsLagged(d, omega, angle, nil)
-}
-
-// BuildAllPatchGraphsLagged builds G_{p,t} for every patch for one
-// direction with the given feedback edges lagged (see
-// BuildPatchGraphLagged).
-func BuildAllPatchGraphsLagged(d *mesh.Decomposition, omega geom.Vec3, angle int32, lagged []CellEdge) []*PatchGraph {
-	lagIn, lagOut := laggedSets(lagged)
-	out := make([]*PatchGraph, d.NumPatches())
-	plan := newPlanScratch(d)
-	for p := range out {
-		out[p] = buildPatchGraph(d, mesh.PatchID(p), omega, angle, lagIn, lagOut, plan)
-	}
-	return out
 }
 
 // PatchDAG is the patch-level dependency digraph for one direction: patch q
@@ -348,58 +346,12 @@ type PatchDAG struct {
 	InDeg []int32
 }
 
-// BuildPatchDAG projects the cell-level dependencies onto patches.
+// BuildPatchDAG projects the cell-level dependencies onto patches. It
+// tabulates the mesh first; to build DAGs for many directions, use one
+// Connectivity and its PatchDAG.
 func BuildPatchDAG(d *mesh.Decomposition, omega geom.Vec3) *PatchDAG {
-	m := d.Mesh
-	n := d.NumPatches()
-	type key struct{ from, to int32 }
-	cnt := make(map[key]int32)
-	nc := m.NumCells()
-	for c := 0; c < nc; c++ {
-		p := d.CellPatch[c]
-		nf := m.NumFaces(mesh.CellID(c))
-		for i := 0; i < nf; i++ {
-			f := m.Face(mesh.CellID(c), i)
-			if f.Neighbor < 0 || d.CellPatch[f.Neighbor] == p {
-				continue
-			}
-			if omega.Dot(f.Normal) > upwindEps {
-				cnt[key{int32(p), int32(d.CellPatch[f.Neighbor])}]++
-			}
-		}
-	}
-	dag := &PatchDAG{
-		N:      n,
-		Succ:   make([][]int32, n),
-		Weight: make([][]int32, n),
-		InDeg:  make([]int32, n),
-	}
-	// Map order feeds the per-patch successor lists, which sortParallel
-	// fully determinizes right below ((from,to) keys are unique, so the
-	// sort has no ties). //jsweep:nondeterministic-ok
-	for k, w := range cnt {
-		dag.Succ[k.from] = append(dag.Succ[k.from], k.to)
-		dag.Weight[k.from] = append(dag.Weight[k.from], w)
-		dag.InDeg[k.to]++
-	}
-	// Deterministic order.
-	for p := 0; p < n; p++ {
-		sortParallel(dag.Succ[p], dag.Weight[p])
-	}
-	return dag
-}
-
-func sortParallel(a, w []int32) {
-	// Insertion sort: successor lists are short.
-	for i := 1; i < len(a); i++ {
-		x, y := a[i], w[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1], w[j+1] = a[j], w[j]
-			j--
-		}
-		a[j+1], w[j+1] = x, y
-	}
+	c := NewConnectivity(d.Mesh)
+	return c.PatchDAG(d, c.Signature(omega))
 }
 
 // IsAcyclic reports whether the patch DAG has no cycles (Kahn's algorithm).

@@ -220,87 +220,19 @@ type CellEdge struct {
 // 6, so three bits suffice.
 func lagKey(c mesh.CellID, face int8) int64 { return int64(c)<<3 | int64(face) }
 
-// cellAdjacency builds the downwind adjacency lists of the cell-level sweep
-// graph for one direction (deterministic: faces in index order). face[c][k]
-// is the face index behind adj[c][k]. Storage is CSR: the per-cell lists
-// slice into one flat array per result, so a call makes a handful of
-// allocations however many cells the mesh has.
-func cellAdjacency(m mesh.Mesh, omega geom.Vec3) (adj [][]int32, face [][]int8) {
-	n := m.NumCells()
-	// Every interior face is downwind for at most one of its two cells, so
-	// with a constant face count the flat arrays never outgrow this.
-	hint := 0
-	if n > 0 {
-		hint = n * m.NumFaces(0) / 2
-	}
-	flatAdj := make([]int32, 0, hint)
-	flatFace := make([]int8, 0, hint)
-	start := make([]int, n+1)
-	for c := 0; c < n; c++ {
-		nf := m.NumFaces(mesh.CellID(c))
-		for i := 0; i < nf; i++ {
-			f := m.Face(mesh.CellID(c), i)
-			if f.Neighbor >= 0 && omega.Dot(f.Normal) > upwindEps {
-				flatAdj = append(flatAdj, int32(f.Neighbor))
-				flatFace = append(flatFace, int8(i))
-			}
-		}
-		start[c+1] = len(flatAdj)
-	}
-	adj = make([][]int32, n)
-	face = make([][]int8, n)
-	for c := 0; c < n; c++ {
-		lo, hi := start[c], start[c+1]
-		adj[c] = flatAdj[lo:hi:hi]
-		face[c] = flatFace[lo:hi:hi]
-	}
-	return adj, face
-}
-
 // CellSCC computes the strongly connected components of the cell-level
 // sweep graph for direction omega. An acyclic sweep graph has exactly one
 // component per cell.
 func CellSCC(m mesh.Mesh, omega geom.Vec3) (comp []int32, ncomp int) {
-	adj, _ := cellAdjacency(m, omega)
-	return SCC(adj)
+	c := NewConnectivity(m)
+	return c.CellSCC(c.Signature(omega))
 }
 
 // FeedbackEdges selects the deterministic set of cell-level dependency
-// edges to lag for direction omega: the DFS back edges of the sweep graph
-// (FeedbackArcs over the downwind adjacency, cells rooted in ascending
-// order and faces in index order), annotated with the faces the flux
-// crosses. Removing them always yields an acyclic graph; on an
-// already-acyclic mesh the result is empty. Each edge lies on a cycle, so
-// the set is confined to the graph's strongly connected components.
+// edges to lag for direction omega (see Connectivity.FeedbackEdges).
 func FeedbackEdges(m mesh.Mesh, omega geom.Vec3) []CellEdge {
-	adj, adjFace := cellAdjacency(m, omega)
-	arcs := FeedbackArcs(adj)
-	if len(arcs) == 0 {
-		return nil
-	}
-	// Map each arc back to its mesh face. A cell pair can share more than
-	// one downwind face in pathological meshes; arcs of equal (from, to)
-	// are reported in adjacency (= face) order, so a cursor per pair keeps
-	// the mapping aligned.
-	cursor := make(map[int64]int, len(arcs))
-	edges := make([]CellEdge, 0, len(arcs))
-	for _, a := range arcs {
-		u, v := a[0], a[1]
-		key := int64(u)<<32 | int64(uint32(v))
-		k := cursor[key]
-		for ; k < len(adj[u]); k++ {
-			if adj[u][k] == v {
-				break
-			}
-		}
-		cursor[key] = k + 1
-		srcFace := adjFace[u][k]
-		edges = append(edges, CellEdge{
-			From: mesh.CellID(u), To: mesh.CellID(v),
-			SrcFace: srcFace, DstFace: backFace(m, mesh.CellID(v), mesh.CellID(u)),
-		})
-	}
-	return edges
+	c := NewConnectivity(m)
+	return c.FeedbackEdges(c.Signature(omega))
 }
 
 // laggedInSet keys lagged edges by their receiving (cell, face); laggedOutSet
@@ -323,16 +255,16 @@ func laggedSets(lagged []CellEdge) (in, out map[int64]int32) {
 // edges, then produces both the FIFO (wavefront-like, deterministic)
 // topological order and the BFS wavefront level of every cell.
 func laggedKahn(m mesh.Mesh, omega geom.Vec3) ([]mesh.CellID, []int32, []CellEdge) {
-	lagged := FeedbackEdges(m, omega)
+	c := NewConnectivity(m)
+	sig := c.Signature(omega)
+	lagged := c.FeedbackEdges(sig)
 	_, lagOut := laggedSets(lagged)
-	n := m.NumCells()
+	n := c.NumCells()
 	indeg := make([]int32, n)
-	for c := 0; c < n; c++ {
-		nf := m.NumFaces(mesh.CellID(c))
-		for i := 0; i < nf; i++ {
-			f := m.Face(mesh.CellID(c), i)
-			if f.Neighbor >= 0 && omega.Dot(f.Normal) < -upwindEps {
-				indeg[c]++
+	for cell := 0; cell < n; cell++ {
+		for s := c.start[cell]; s < c.start[cell+1]; s++ {
+			if sig[s] == faceIn {
+				indeg[cell]++
 			}
 		}
 	}
@@ -341,30 +273,30 @@ func laggedKahn(m mesh.Mesh, omega geom.Vec3) ([]mesh.CellID, []int32, []CellEdg
 	}
 	level := make([]int32, n)
 	queue := make([]mesh.CellID, 0, n)
-	for c := 0; c < n; c++ {
-		if indeg[c] == 0 {
-			queue = append(queue, mesh.CellID(c))
+	for cell := 0; cell < n; cell++ {
+		if indeg[cell] == 0 {
+			queue = append(queue, mesh.CellID(cell))
 		}
 	}
 	for head := 0; head < len(queue); head++ {
-		c := queue[head]
-		nf := m.NumFaces(c)
-		for i := 0; i < nf; i++ {
-			f := m.Face(c, i)
-			if f.Neighbor < 0 || omega.Dot(f.Normal) <= upwindEps {
+		cell := queue[head]
+		lo := c.start[cell]
+		for s := lo; s < c.start[cell+1]; s++ {
+			if sig[s] != faceOut {
 				continue
 			}
 			if lagOut != nil {
-				if _, skip := lagOut[lagKey(c, int8(i))]; skip {
+				if _, skip := lagOut[lagKey(cell, int8(s-lo))]; skip {
 					continue
 				}
 			}
-			if l := level[c] + 1; l > level[f.Neighbor] {
-				level[f.Neighbor] = l
+			nb := c.nbr[s]
+			if l := level[cell] + 1; l > level[nb] {
+				level[nb] = l
 			}
-			indeg[f.Neighbor]--
-			if indeg[f.Neighbor] == 0 {
-				queue = append(queue, f.Neighbor)
+			indeg[nb]--
+			if indeg[nb] == 0 {
+				queue = append(queue, nb)
 			}
 		}
 	}

@@ -362,7 +362,7 @@ func TestPatchDAGSCCOnRing(t *testing.T) {
 	}
 }
 
-// cellAdjacency's CSR-backed lists must be element for element what
+// The table-built adjacency's CSR-backed lists must be element for element what
 // per-cell appends produce, on an acyclic grid and on a cyclic ring, and
 // appending to one list must not reach into its neighbour's.
 func TestCellAdjacencyMatchesAppendBuild(t *testing.T) {
@@ -388,7 +388,8 @@ func TestCellAdjacencyMatchesAppendBuild(t *testing.T) {
 					}
 				}
 			}
-			adj, face := cellAdjacency(m, omega)
+			c := NewConnectivity(m)
+			adj, face := c.adjacency(c.Signature(omega))
 			for c := 0; c < n; c++ {
 				if !slicesEqual(adj[c], wantAdj[c]) || !slicesEqual(face[c], wantFace[c]) {
 					t.Fatalf("Ω=%v cell %d: adj %v face %v, want %v %v", omega, c, adj[c], face[c], wantAdj[c], wantFace[c])
@@ -427,7 +428,8 @@ func TestFeedbackEdgesAllocCeiling(t *testing.T) {
 			t.Fatalf("acyclic grid has %d feedback edges", len(lagged))
 		}
 	})
-	// 5 for the adjacency, 1 + O(log depth) for the DFS.
+	// 6 for the face table, 1 for the signature, 5 for the adjacency,
+	// 1 + O(log depth) for the DFS.
 	if allocs > 32 {
 		t.Errorf("FeedbackEdges on %d cells: %.0f allocations, want <= 32", m.NumCells(), allocs)
 	}

@@ -57,8 +57,9 @@ func BuildSim(s Spec) (*SimRun, error) {
 	for p := 0; p < np; p++ {
 		w.PatchCells[p] = int64(len(d.Cells[p]))
 	}
+	conn := graph.NewConnectivity(d.Mesh)
 	for a := 0; a < angles; a++ {
-		dag := graph.BuildPatchDAG(d, prob.Quad.Directions[a].Omega)
+		dag := conn.PatchDAG(d, conn.Signature(prob.Quad.Directions[a].Omega))
 		simcluster.AcyclifyDAG(dag)
 		w.Octants[a] = dag
 		w.AngleOctant[a] = a

@@ -316,16 +316,17 @@ func (rt *Runtime) RunRoundCtx(ctx context.Context) (Stats, error) {
 		}
 	}
 	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, len(rt.procs))
-	for i, p := range rt.procs {
-		wg.Add(1)
-		go func(i int, p *process) {
-			defer wg.Done()
-			errs[i] = p.runRound(ctx)
-		}(i, p)
+	for _, p := range rt.procs {
+		p.rounds <- ctx
 	}
-	wg.Wait()
+	// Every master reports back before the round is over; the first error
+	// in rank order is the round's.
+	var err error
+	for _, p := range rt.procs {
+		if perr := <-p.roundDone; perr != nil && err == nil {
+			err = perr
+		}
+	}
 	st := Stats{RoundsRun: 1}
 	for _, p := range rt.procs {
 		st.add(p.collectRound())
@@ -337,13 +338,10 @@ func (rt *Runtime) RunRoundCtx(ctx context.Context) (Stats, error) {
 	rt.last = st
 	rt.cum.add(st)
 	rt.cum.RoundsRun = rt.rounds
-	for _, err := range errs {
-		if err != nil {
-			rt.broken = true
-			return st, err
-		}
+	if err != nil {
+		rt.broken = true
 	}
-	return st, nil
+	return st, err
 }
 
 // Reset rearms the session for another round: every registered program is
@@ -368,7 +366,7 @@ func (rt *Runtime) Reset() error {
 	return nil
 }
 
-// Close shuts the worker goroutines down and ends the session. A
+// Close shuts the master and worker goroutines down and ends the session. A
 // runtime-owned (in-memory) transport is closed too; a caller-provided
 // transport stays open for the caller's own collectives and teardown. It
 // is idempotent; statistics remain readable afterwards.
@@ -385,9 +383,11 @@ func (rt *Runtime) Close() error {
 				w.cond.Broadcast()
 			}
 			p.mu.Unlock()
+			close(p.rounds)
 		}
 		for _, p := range rt.procs {
 			p.wg.Wait()
+			p.ticker.Stop()
 		}
 	}
 	if rt.ownsTransport {
@@ -488,9 +488,23 @@ type process struct {
 	shutdown    bool
 
 	// outReady carries a token to the master after a worker queued output
-	// (capacity 1: one token stands for every cycle queued since the
-	// master last drained outCycles).
+	// or left the process without active programs or busy workers
+	// (capacity 1: one token stands for every such cycle since the master
+	// last looked).
 	outReady chan struct{}
+
+	// rounds hands the persistent master goroutine (roundLoop) the
+	// context of each round, roundDone returns the round's error. Close
+	// closes rounds, which ends roundLoop.
+	rounds    chan context.Context
+	roundDone chan error
+	// ticker wakes an idle master every tick, a backstop to the wake-ups
+	// the master waits on (outReady, the endpoint's Notify, the round's
+	// context); no termination check waits for it. Created once per
+	// session (startWorkers), reset at every round start, stopped by
+	// Close.
+	ticker *time.Ticker
+	tick   time.Duration
 
 	// Safra state.
 	safraColor   byte
@@ -541,6 +555,9 @@ func newProcess(rt *Runtime, rank int) *process {
 		rank:        rank,
 		ep:          rt.transport.Endpoint(rank),
 		outReady:    make(chan struct{}, 1),
+		rounds:      make(chan context.Context),
+		roundDone:   make(chan error),
+		tick:        masterTick,
 		doneReports: make(map[int]bool),
 		safraColor:  tokenWhite,
 		round:       1,
@@ -569,12 +586,26 @@ func (p *process) register(key core.ProgramKey, prog core.PatchProgram, prio int
 	return ps
 }
 
-// startWorkers launches the persistent worker goroutines. Called once per
-// session, before the first round.
+// masterTick is the period of the master's ticker.
+const masterTick = 200 * time.Microsecond
+
+// startWorkers launches the persistent master and worker goroutines and
+// the master's ticker. Called once per session, before the first round.
 func (p *process) startWorkers() {
+	p.ticker = time.NewTicker(p.tick)
+	p.wg.Add(1 + len(p.workers))
+	go p.roundLoop()
 	for _, w := range p.workers {
-		p.wg.Add(1)
 		go p.workerLoop(w)
+	}
+}
+
+// roundLoop is the persistent master goroutine: it runs every round
+// RunRoundCtx hands it until Close closes p.rounds.
+func (p *process) roundLoop() {
+	defer p.wg.Done()
+	for ctx := range p.rounds {
+		p.roundDone <- p.runRound(ctx)
 	}
 }
 
@@ -607,8 +638,7 @@ func (p *process) runRound(ctx context.Context) error {
 	}
 
 	var err error
-	ticker := time.NewTicker(200 * time.Microsecond)
-	defer ticker.Stop()
+	p.ticker.Reset(p.tick)
 masterLoop:
 	for {
 		// Cooperative cancellation: abandon the round as soon as the
@@ -692,7 +722,7 @@ masterLoop:
 			case <-p.outReady:
 			case <-p.ep.Notify():
 			case <-ctx.Done():
-			case <-ticker.C:
+			case <-p.ticker.C:
 			}
 		}
 	}
@@ -1317,11 +1347,15 @@ func (p *process) workerLoop(w *workerQueue) {
 			p.outCycles.Push(len(outs))
 		}
 		p.busyWorkers--
+		// A cycle that leaves the process with nothing active and nobody
+		// busy may be the one termination waits for: wake the master even
+		// when it produced no output.
+		wake := len(outs) > 0 || (p.activePrograms == 0 && p.busyWorkers == 0)
 		p.mu.Unlock()
 
-		if len(outs) > 0 {
-			clear(outs)
-			outs = outs[:0]
+		clear(outs)
+		outs = outs[:0]
+		if wake {
 			select {
 			case p.outReady <- struct{}{}:
 			default:

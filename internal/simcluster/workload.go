@@ -130,10 +130,11 @@ func UnstructuredWorkload(m mesh.Mesh, cellsPerPatch int64, procs, angles, group
 		w.PatchCells[p] = cellsPerPatch
 	}
 	inv := 1 / math.Sqrt(3)
+	conn := graph.NewConnectivity(d.Mesh)
 	for o := 0; o < 8; o++ {
 		s := octantSigns[o]
 		omega := geom.Vec3{X: float64(s[0]) * inv, Y: float64(s[1]) * inv, Z: float64(s[2]) * inv}
-		dag := graph.BuildPatchDAG(d, omega)
+		dag := conn.PatchDAG(d, conn.Signature(omega))
 		AcyclifyDAG(dag)
 		w.Octants[o] = dag
 	}

@@ -192,7 +192,8 @@ type Solver struct {
 }
 
 // NewSolver prepares a solver: builds every G_{p,a}, the patch-level DAGs
-// and both priority levels, and places patches on processes. With reuse
+// and both priority levels (once per face-sign signature group, see
+// sweepPlan), and places patches on processes. With reuse
 // enabled it also builds the patch-program objects the session will keep.
 func NewSolver(prob *transport.Problem, d *mesh.Decomposition, opts Options) (*Solver, error) {
 	opts.defaults()
@@ -209,37 +210,10 @@ func NewSolver(prob *transport.Problem, d *mesh.Decomposition, opts Options) (*S
 			return nil, err
 		}
 	}
-	na := len(prob.Quad.Directions)
-	np := d.NumPatches()
-	s.graphs = make([][]*graph.PatchGraph, na)
-	s.patchPrio = make([][]int64, na)
-	s.vertexPrio = make([][][]int32, na)
-	lagged := make([][]graph.CellEdge, na)
-	for a := 0; a < na; a++ {
-		omega := prob.Quad.Directions[a].Omega
-		// Cyclic meshes: select the deterministic feedback-edge set and lag
-		// it, so the per-patch graphs the programs run on are acyclic at
-		// the cell level. Acyclic meshes yield an empty set and bitwise
-		// unchanged graphs.
-		lagged[a] = graph.FeedbackEdges(prob.M, omega)
-		s.laggedEdges += len(lagged[a])
-		if len(lagged[a]) > 0 {
-			comp, n := graph.CellSCC(prob.M, omega)
-			nt, _ := graph.NontrivialSCCs(comp, n)
-			s.cellSCCs += nt
-		}
-		s.graphs[a] = graph.BuildAllPatchGraphsLagged(d, omega, int32(a), lagged[a])
-		dag := graph.BuildPatchDAG(d, omega)
-		if comp, n := dag.SCC(); n < dag.N {
-			nt, _ := graph.NontrivialSCCs(comp, n)
-			s.patchSCCs += nt
-		}
-		s.patchPrio[a] = priority.PatchPriorities(opts.Pair.Patch, dag)
-		s.vertexPrio[a] = make([][]int32, np)
-		for p := 0; p < np; p++ {
-			s.vertexPrio[a][p] = priority.VertexPriorities(opts.Pair.Vertex, s.graphs[a][p])
-		}
-	}
+	pl := buildPlan(d, prob.Quad.Directions, opts.Pair)
+	s.graphs, s.patchPrio, s.vertexPrio = pl.graphs, pl.patchPrio, pl.vertexPrio
+	s.laggedEdges, s.cellSCCs, s.patchSCCs = pl.laggedEdges, pl.cellSCCs, pl.patchSCCs
+	lagged := pl.lagged
 	s.lag = NewLagStore(lagged, prob.Groups)
 	if s.distributed && s.lag != nil {
 		// Lagged-edge slots are written by the program owning the edge's
@@ -248,8 +222,8 @@ func NewSolver(prob *transport.Problem, d *mesh.Decomposition, opts Options) (*S
 		// plus every slot's owner rank for merge validation.
 		s.lagSlotOwner = make([]int, 0, s.lag.Total())
 		slot := int32(0)
-		for a := 0; a < na; a++ {
-			for _, e := range lagged[a] {
+		for _, edges := range lagged {
+			for _, e := range edges {
 				owner := s.d.Owner[s.d.PatchOf(e.From)]
 				s.lagSlotOwner = append(s.lagSlotOwner, owner)
 				if s.localPatch[s.d.PatchOf(e.From)] {
